@@ -5,7 +5,7 @@ list of priors; each replicate draws a fresh dataset, runs one MCMC chain
 per prior, and records the posterior mean and equal-tailed 95% interval
 per parameter.  Aggregation reports, per (prior, parameter),
 
-    relative RMSE  = sqrt(mean (posterior mean - truth)^2) / truth,
+    relative RMSE  = sqrt(mean (posterior mean - truth)^2) / |truth|,
     coverage       = fraction of intervals containing the truth,
     mean width     = average interval length.
 
@@ -146,13 +146,13 @@ class MetricsTable:
 
 
 def relative_rmse(estimates, truth: float) -> float:
-    """sqrt(mean squared error) divided by the true value (must be nonzero)."""
+    """sqrt(mean squared error) divided by |true value| (must be nonzero)."""
     estimates = np.asarray(estimates, dtype=float)
     if estimates.size == 0:
         raise ValueError("estimates must be nonempty")
     if truth == 0:
         raise ValueError("relative RMSE is undefined for truth == 0")
-    return float(np.sqrt(np.mean((estimates - truth) ** 2)) / truth)
+    return float(np.sqrt(np.mean((estimates - truth) ** 2)) / abs(truth))
 
 
 def coverage(intervals, truth: float) -> float:
@@ -349,6 +349,8 @@ def _prior_to_dict(prior: md.PriorSpec) -> dict:
 def _prior_from_dict(d: dict) -> md.PriorSpec:
     kind = d.get("kind")
     if kind == "lomax":
+        if "dim" not in d:
+            raise ValueError("lomax prior in scenario file is missing 'dim'")
         return md.PriorSpec.lomax(
             dim=int(d["dim"]),
             shape=float(d.get("shape", 1.0)),
@@ -386,6 +388,11 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
 
 def scenario_from_json(text: str) -> ScenarioSpec:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario file must hold a JSON object")
+    for key in ("model", "truth", "n", "replicates", "priors"):
+        if key not in doc:
+            raise ValueError(f"scenario file is missing {key!r}")
     preset = doc.get("preset", "desk")
     if isinstance(preset, list):
         preset = tuple(preset)

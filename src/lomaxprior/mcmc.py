@@ -142,9 +142,12 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
     n_keep = (iterations - burn_in) // thin
     draws = np.empty((n_keep, d))
     kept = 0
-    win_acc = np.zeros(d)
+    # the inner loop works on Python floats and ints: numpy scalar arithmetic
+    # costs several times more per operation and gives the same IEEE results
+    xs = x.tolist()  # mirror of x; x itself is what log_post sees
+    win_acc = [0] * d
     win_len = 0
-    post_acc = np.zeros(d)
+    post_acc = [0] * d
     post_sweeps = 0
 
     t = 0
@@ -152,27 +155,29 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
         block = min(ADAPT_WINDOW, iterations - t)
         eps = rng.standard_normal((block, d))
         unif = rng.random((block, d))
-        for b in range(block):
+        shifts = (eps * steps).tolist()
+        log_unif = [
+            [math.log(u) if u > 0.0 else -math.inf for u in row] for row in unif.tolist()
+        ]
+        for shift_row, lu_row in zip(shifts, log_unif):
             t += 1
             burning = t <= burn_in
+            acc = win_acc if burning else post_acc
             for j in range(d):
-                old = x[j]
+                old = xs[j]
+                shift = shift_row[j]
                 if positive[j]:
-                    shift = steps[j] * eps[b, j]
-                    x[j] = old * math.exp(shift)
+                    new = old * math.exp(shift)
                     log_corr = shift  # log(x'/x) for the log-scale walk
                 else:
-                    x[j] = old + steps[j] * eps[b, j]
+                    new = old + shift
                     log_corr = 0.0
+                x[j] = new
                 lp_new = float(log_post(x))
-                u = unif[b, j]
-                lu = math.log(u) if u > 0.0 else -math.inf
-                if lu < lp_new - lp + log_corr:
+                if lu_row[j] < lp_new - lp + log_corr:
                     lp = lp_new
-                    if burning:
-                        win_acc[j] += 1
-                    else:
-                        post_acc[j] += 1
+                    xs[j] = new
+                    acc[j] += 1
                 else:
                     x[j] = old
             if not burning:
@@ -182,11 +187,11 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
                     kept += 1
         win_len += block
         if config.adapt and t <= burn_in:
-            steps = adapt_steps(win_acc / win_len, steps)
-            win_acc[:] = 0.0
+            steps = adapt_steps(np.array(win_acc) / win_len, steps)
+            win_acc = [0] * d
             win_len = 0
 
-    rates = post_acc / post_sweeps if post_sweeps else np.zeros(d)
+    rates = np.array(post_acc) / post_sweeps if post_sweeps else np.zeros(d)
     return ChainOutput(
         draws=draws[:kept],
         accept_rates=rates,

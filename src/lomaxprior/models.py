@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from lomaxprior.lomax import LomaxSpec, log_density, normalizing_constant
 from lomaxprior.mcmc import PosteriorTarget
@@ -140,6 +138,73 @@ def weibull_loglik_grad(params: WeibullParams, data) -> np.ndarray:
     return np.array([d_th, d_be])
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Brent's root finder, a line-by-line port of scipy.optimize.brentq's C code.
+
+    Returns the same bits as ``scipy.optimize.brentq(f, xa, xb, xtol=xtol,
+    rtol=rtol, maxiter=maxiter)`` without importing scipy.  Raises ValueError
+    on a NaN function value or an unbracketed root, RuntimeError when
+    ``maxiter`` iterations do not converge.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def weibull_mle(data, max_expand: int = 60) -> WeibullParams:
     """Profile-likelihood MLE.
 
@@ -169,7 +234,7 @@ def weibull_mle(data, max_expand: int = 60) -> WeibullParams:
         it += 1
         if it > max_expand:
             raise RuntimeError("Weibull MLE: could not bracket the profile root")
-    be = brentq(profile, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    be = _brentq(profile, lo, hi, xtol=1e-14, rtol=8.9e-16)
     th = float(np.mean(x**be)) ** (1.0 / be)
     params = WeibullParams(scale=th, shape=be)
     if np.linalg.norm(weibull_loglik_grad(params, x)) > 1e-8 * max(1.0, x.size):
@@ -336,8 +401,17 @@ class PriorSpec:
         return self.kind
 
 
-def _gamma_logpdf(x, shape, rate):
-    return shape * math.log(rate) - gammaln(shape) + (shape - 1.0) * math.log(x) - rate * x
+def _gamma_log_norm(shape, rate) -> float:
+    """shape log(rate) - log Gamma(shape), the x-free part of the Gamma log density."""
+    # scipy is imported here only: math.lgamma differs from gammaln in the last bits
+    from scipy.special import gammaln
+
+    return float(shape * math.log(rate) - gammaln(shape))
+
+
+def _gamma_logpdf(x, shape, rate, log_norm):
+    """Gamma(shape, rate) log density at x, given log_norm = _gamma_log_norm(shape, rate)."""
+    return log_norm + (shape - 1.0) * math.log(x) - rate * x
 
 
 def log_prior(prior: PriorSpec, params) -> float:
@@ -361,7 +435,10 @@ def log_prior(prior: PriorSpec, params) -> float:
         if np.any(x <= 0):
             raise ValueError("gamma product support is the positive orthant")
         return float(
-            sum(_gamma_logpdf(xi, s, r) for xi, s, r in zip(x, prior.gamma_shapes, prior.gamma_rates))
+            sum(
+                _gamma_logpdf(xi, s, r, _gamma_log_norm(s, r))
+                for xi, s, r in zip(x, prior.gamma_shapes, prior.gamma_rates)
+            )
         )
     if kind == "vague-normal-sigma":
         coef, var = x[:-1], x[-1]
@@ -397,6 +474,13 @@ def log_prior(prior: PriorSpec, params) -> float:
 # posterior targets (likelihood + prior composed for the sampler)
 
 
+def _lomax_of_dim(prior: PriorSpec, dim: int, model: str) -> LomaxSpec:
+    spec = prior.lomax_spec
+    if spec.dim != dim:
+        raise ValueError(f"the {model} model needs a lomax prior of dimension {dim}, got {spec.dim}")
+    return spec
+
+
 def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
     x = _positive_data(data)
     n = x.size
@@ -404,7 +488,7 @@ def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
     slogx = float(np.sum(logx))
 
     if prior.kind == "lomax":
-        spec = prior.lomax_spec
+        spec = _lomax_of_dim(prior, 2, "Weibull")
         const = math.log(spec.scale) * spec.shape + math.log(
             spec.shape * (spec.shape + 1.0)
         )
@@ -422,12 +506,17 @@ def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
     else:
         raise ValueError(f"prior {prior.kind!r} is not defined for the Weibull model")
 
+    z = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
+
     def log_post(v):
-        th, be = v[0], v[1]
+        th, be = float(v[0]), float(v[1])
         if th <= 0 or be <= 0:
             return -math.inf
-        z = np.exp(be * (logx - math.log(th)))
-        ll = n * math.log(be) + (be - 1.0) * slogx - n * be * math.log(th) - float(np.sum(z))
+        log_th = math.log(th)
+        np.subtract(logx, log_th, out=z)
+        np.multiply(z, be, out=z)
+        np.exp(z, out=z)
+        ll = n * math.log(be) + (be - 1.0) * slogx - n * be * log_th - float(z.sum())
         return ll + logp(th, be)
 
     return PosteriorTarget(log_post, ("positive", "positive"), ("scale", "shape"))
@@ -440,7 +529,7 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     slogx = float(np.sum(logx))
 
     if prior.kind == "lomax":
-        spec = prior.lomax_spec
+        spec = _lomax_of_dim(prior, 3, "Dagum")
         const = math.log(normalizing_constant(spec))
         expo = spec.shape + 3.0
         a0 = spec.scale
@@ -449,29 +538,31 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
             return const - expo * math.log(a0 + a + b + p)
 
     elif prior.kind == "vague-gamma-product":
-        shapes = prior.gamma_shapes
-        rates = prior.gamma_rates
+        if len(prior.gamma_shapes) != 3:
+            raise ValueError("the Dagum gamma prior needs 3 components, one per parameter")
+        ga, gb, gp = ((s, r, _gamma_log_norm(s, r)) for s, r in zip(prior.gamma_shapes, prior.gamma_rates))
 
         def logp(a, b, p):
-            return (
-                _gamma_logpdf(a, shapes[0], rates[0])
-                + _gamma_logpdf(b, shapes[1], rates[1])
-                + _gamma_logpdf(p, shapes[2], rates[2])
-            )
+            return _gamma_logpdf(a, *ga) + _gamma_logpdf(b, *gb) + _gamma_logpdf(p, *gp)
 
     else:
         raise ValueError(f"prior {prior.kind!r} is not defined for the Dagum model")
 
+    w = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
+    softplus = np.empty_like(logx)
+
     def log_post(v):
-        a, b, p = v[0], v[1], v[2]
+        a, b, p = float(v[0]), float(v[1]), float(v[2])
         if a <= 0 or b <= 0 or p <= 0:
             return -math.inf
-        w = a * (logx - math.log(b))
+        np.subtract(logx, math.log(b), out=w)
+        np.multiply(w, a, out=w)
+        np.logaddexp(0.0, w, out=softplus)
         ll = (
             n * (math.log(a) + math.log(p))
             - slogx
-            + p * float(np.sum(w))
-            - (p + 1.0) * float(np.sum(np.logaddexp(0.0, w)))
+            + p * float(w.sum())
+            - (p + 1.0) * float(softplus.sum())
         )
         return ll + logp(a, b, p)
 
@@ -489,15 +580,14 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
 
     kind = prior.kind
     if kind == "lomax":
-        spec = prior.lomax_spec
-        if spec.dim != p + 2:
-            raise ValueError("lomax prior dimension must cover coefficients plus variance")
+        # one dimension per coefficient, intercept included, plus the variance
+        spec = _lomax_of_dim(prior, p + 2, "regression")
         const = math.log(normalizing_constant(spec))
         expo = spec.shape + spec.dim
         a0 = spec.scale
 
         def logp(coef, var):
-            return const - expo * math.log(a0 + float(np.sum(np.abs(coef))) + var)
+            return const - expo * math.log(a0 + float(np.abs(coef).sum()) + var)
 
     elif kind == "vague-normal-sigma":
         c = prior.c
@@ -531,7 +621,7 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
         raise ValueError(f"prior {kind!r} is not defined for the regression model")
 
     def log_post(v):
-        var = v[-1]
+        var = float(v[-1])
         if var <= 0:
             return -math.inf
         coef = v[:-1]

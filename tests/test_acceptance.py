@@ -171,6 +171,7 @@ def run_weibull_scenario(n, shape, seed):
     return ex.run_scenario(spec)
 
 
+@pytest.mark.slow
 def test_criterion_07_weibull_replication():
     t0 = time.time()
     tables = {}
@@ -195,6 +196,7 @@ def test_criterion_07_weibull_replication():
     report("criterion 7: Weibull replication (directional)", f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_dagum_replication():
     t0 = time.time()
     spec = ex.ScenarioSpec(
@@ -270,6 +272,7 @@ def test_criterion_10_regression_single_sample():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_regression_frequentist_parity():
     t0 = time.time()
     spec = ex.ScenarioSpec(

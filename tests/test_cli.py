@@ -168,6 +168,17 @@ def test_simulate_malformed_json(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_simulate_missing_scenario_key(tmp_path, capsys):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    del doc["n"]
+    bad = tmp_path / "no_n.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "sim")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: scenario file is missing 'n'\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_missing_file(tmp_path):
     assert run_cli("simulate", "--scenario", str(tmp_path / "none.json"), "--out", str(tmp_path)) == 1
 

@@ -1,5 +1,7 @@
 """Tests for the replication harness: metrics, determinism, datasets."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,9 @@ def test_relative_rmse_values():
     assert ex.relative_rmse([1.0, 1.0, 1.0], 1.0) == 0.0
     assert ex.relative_rmse([0.0, 2.0], 1.0) == pytest.approx(1.0, rel=1e-14)
     assert ex.relative_rmse([1.1, 0.9], 1.0) == pytest.approx(0.1, rel=1e-12)
+    # a negative truth scales by its magnitude: the error is still positive
+    assert ex.relative_rmse([-2.2, -1.8], -2.0) == pytest.approx(0.1, rel=1e-12)
+    assert ex.relative_rmse([-3.0, -1.0], -2.0) == ex.relative_rmse([3.0, 1.0], 2.0)
     with pytest.raises(ValueError):
         ex.relative_rmse([1.0], 0.0)
     with pytest.raises(ValueError):
@@ -82,6 +87,19 @@ def test_scenario_validation():
         tiny_weibull_spec(preset="warp").chain_dims()
     assert tiny_weibull_spec(preset="desk").chain_dims() == (20_000, 5_000, 10)
     assert tiny_weibull_spec(preset="full").chain_dims() == (100_000, 10_000, 50)
+
+
+def test_scenario_from_json_missing_keys():
+    doc = json.loads(ex.scenario_to_json(tiny_weibull_spec()))
+    for key in ("model", "truth", "n", "replicates", "priors"):
+        partial = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(ValueError, match=f"scenario file is missing '{key}'"):
+            ex.scenario_from_json(json.dumps(partial))
+    no_dim = dict(doc, priors=[{"kind": "lomax"}])
+    with pytest.raises(ValueError, match="missing 'dim'"):
+        ex.scenario_from_json(json.dumps(no_dim))
+    with pytest.raises(ValueError, match="JSON object"):
+        ex.scenario_from_json("[1, 2]")
 
 
 def test_chain_seed_injective():

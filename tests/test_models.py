@@ -313,6 +313,25 @@ def test_target_prior_model_mismatch():
         md.linreg_target(np.ones((5, 2)), np.ones(5), md.PriorSpec.lomax(2))
 
 
+def test_target_lomax_dimension_must_match_model():
+    data = np.array([0.5, 1.0, 2.0])
+    for dim in (1, 3, 5):
+        with pytest.raises(ValueError, match="dimension 2"):
+            md.weibull_target(data, md.PriorSpec.lomax(dim, shape=3.0))
+    for dim in (2, 4, 7):
+        with pytest.raises(ValueError, match="dimension 3"):
+            md.dagum_target(data, md.PriorSpec.lomax(dim))
+    md.weibull_target(data, md.PriorSpec.lomax(2, shape=3.0))
+    md.dagum_target(data, md.PriorSpec.lomax(3))
+
+
+def test_dagum_gamma_prior_needs_three_components():
+    data = np.array([0.5, 1.0, 2.0])
+    for n_params in (2, 4):
+        with pytest.raises(ValueError, match="3 components"):
+            md.dagum_target(data, md.PriorSpec.vague_gamma(n_params=n_params))
+
+
 def test_inits():
     rng = np.random.default_rng(6)
     data = md.weibull_sample(md.WeibullParams(2.0, 1.5), 200, rng)
