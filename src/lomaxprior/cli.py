@@ -27,6 +27,15 @@ from lomaxprior import score as sc
 
 DEFAULT_SEED = 1729  # documented fixed default so reruns reproduce byte-identical output
 
+# --prior spellings of fit, each naming a PriorSpec kind
+PRIOR_ALIASES = {
+    "lomax": "lomax",
+    "reference": "weibull-reference",
+    "vague-gamma": "vague-gamma-product",
+    "vague-normal": "vague-normal-sigma",
+    "zellner": "zellner-g",
+}
+
 SCORE_PASS_TOL = 1e-5
 SCORE_SEPARATION_TOL = 1e-2
 
@@ -153,62 +162,28 @@ def cmd_score_check(args) -> int:
 # fit
 
 
-def _load_vector(arg: str, column):
-    if arg.startswith("builtin:"):
-        return ex.builtin_dataset(arg.split(":", 1)[1])
-    return md.read_column_csv(arg, column)
-
-
-def _fit_target(args):
-    if args.model == "weibull":
-        data = _load_vector(args.data, args.column)
-        prior = (
-            md.PriorSpec.lomax(2, shape=args.prior_k, scale=args.prior_a)
-            if args.prior == "lomax"
-            else md.PriorSpec.weibull_reference()
-        )
-        if args.prior not in ("lomax", "reference"):
-            raise ValueError(f"prior {args.prior!r} is not available for weibull")
-        target = md.weibull_target(data, prior)
-        init = md.weibull_init(data)
-        steps = np.array([0.3, 0.3])
-    elif args.model == "dagum":
-        data = _load_vector(args.data, args.column)
-        if args.prior == "lomax":
-            prior = md.PriorSpec.lomax(3, shape=args.prior_k, scale=args.prior_a)
-        elif args.prior == "vague-gamma":
-            prior = md.PriorSpec.vague_gamma()
-        else:
-            raise ValueError(f"prior {args.prior!r} is not available for dagum")
-        target = md.dagum_target(data, prior)
-        init = md.dagum_init(data)
-        steps = np.array([0.3, 0.3, 0.3])
-    else:
-        if args.data.startswith("builtin:"):
+def _fit_inputs(args):
+    builtin = args.data.startswith("builtin:")
+    if args.model == "linreg":
+        if builtin:
             raise ValueError("regression fits need a CSV with a response column")
-        X, y = md.read_design_csv(args.data, args.response)
-        p = X.shape[1]
-        if args.prior == "lomax":
-            prior = md.PriorSpec.lomax(
-                p + 2, shape=args.prior_k, scale=args.prior_a, folded=frozenset(range(1, p + 2))
-            )
-        elif args.prior == "vague-normal":
-            prior = md.PriorSpec.vague_normal()
-        elif args.prior == "zellner":
-            prior = md.PriorSpec.zellner(design=X)
-        else:
-            raise ValueError(f"prior {args.prior!r} is not available for linreg")
-        target = md.linreg_target(X, y, prior)
-        ls = md.least_squares_init(X, y)
-        init = ls.as_vector()
-        full = np.column_stack([np.ones(X.shape[0]), X])
-        se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
-        steps = np.append(2.4 * np.maximum(se, 1e-6), 0.35)
-    return target, init, steps
+        data = md.read_design_csv(args.data, args.response)
+    elif builtin:
+        data = ex.builtin_dataset(args.data.split(":", 1)[1])
+    else:
+        data = md.read_column_csv(args.data, args.column)
+    prior = {"kind": PRIOR_ALIASES[args.prior]}
+    if args.prior == "lomax":
+        prior.update(shape=args.prior_k, scale=args.prior_a, dim=2 if args.model == "weibull" else 3)
+        if args.model == "linreg":
+            # every coefficient, folded onto the real line, plus the variance
+            p = data[0].shape[1]
+            prior.update(dim=p + 2, folded=list(range(1, p + 2)))
+    return md.chain_inputs(args.model, md.PriorSpec.from_dict(prior), data)
 
 
 def cmd_fit(args) -> int:
-    target, init, steps = _fit_target(args)
+    target, init, steps = _fit_inputs(args)
     iterations, burn_in, thin = (
         ex.CHAIN_PRESETS["full"] if args.full_scale else ex.CHAIN_PRESETS["desk"]
     )
@@ -338,12 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score_check)
 
     p = sub.add_parser("fit", help="posterior for one dataset")
-    p.add_argument("--model", choices=("weibull", "dagum", "linreg"), required=True)
-    p.add_argument(
-        "--prior",
-        choices=("lomax", "reference", "vague-gamma", "vague-normal", "zellner"),
-        default="lomax",
-    )
+    p.add_argument("--model", choices=md.MODELS, required=True)
+    p.add_argument("--prior", choices=tuple(PRIOR_ALIASES), default="lomax")
     p.add_argument("--data", required=True, help="CSV path or builtin:<name>")
     p.add_argument("--column", default=None, help="data column for vector CSVs")
     p.add_argument("--response", default="y", help="response column for linreg")

@@ -16,13 +16,14 @@ bit-identical regardless of how many worker processes execute them.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from lomaxprior import models as md
-from lomaxprior.mcmc import ChainConfig, ChainInitError, run_chain, summarize
+from lomaxprior.mcmc import MIN_DRAWS, ChainConfig, ChainInitError, run_chain, summarize
 
 __all__ = [
     "CHAIN_PRESETS",
@@ -42,8 +43,6 @@ CHAIN_PRESETS = {
     "desk": (20_000, 5_000, 10),
     "full": (100_000, 10_000, 50),
 }
-
-MODELS = ("weibull", "dagum", "linreg")
 
 _BUILTIN_DATASETS = {
     # 19 times to breakdown (minutes) of an insulating fluid at 34 kV
@@ -79,27 +78,38 @@ class ScenarioSpec:
     covariate_sd: float = 3.0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; use one of {MODELS}")
+        if self.model not in md.MODELS:
+            raise ValueError(f"unknown model {self.model!r}; use one of {md.MODELS}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.n < 2:
             raise ValueError("sample size must be >= 2")
         object.__setattr__(self, "priors", tuple(self.priors))
+        if not (isinstance(self.truth, dict) and all(isinstance(v, numbers.Real) for v in self.truth.values())):
+            raise ValueError(f"truth must map parameter names to numbers, got {self.truth!r}")
         object.__setattr__(self, "truth", dict(self.truth))
         if not self.priors:
             raise ValueError("need at least one prior to compare")
+        # the preset is checked here so that a bad one fails before any chain runs
+        if isinstance(self.preset, str):
+            if self.preset not in CHAIN_PRESETS:
+                raise ValueError(f"unknown preset {self.preset!r}; use one of {sorted(CHAIN_PRESETS)}")
+        elif isinstance(self.preset, (list, tuple)) and len(self.preset) == 3 and all(
+            isinstance(v, numbers.Integral) for v in self.preset
+        ):
+            object.__setattr__(self, "preset", tuple(int(v) for v in self.preset))
+        else:
+            raise ValueError(f"preset must be a name or [iterations, burn_in, thin], got {self.preset!r}")
+        iterations, burn_in, thin = self.chain_dims()
+        # with thin >= 1, keeping MIN_DRAWS draws implies burn_in < iterations
+        if burn_in < 0 or thin < 1 or (iterations - burn_in) // thin < MIN_DRAWS:
+            raise ValueError(
+                f"preset {[iterations, burn_in, thin]} needs burn_in >= 0, thin >= 1 and at least"
+                f" {MIN_DRAWS} retained draws, (iterations - burn_in) // thin"
+            )
 
     def chain_dims(self) -> tuple[int, int, int]:
-        if isinstance(self.preset, str):
-            try:
-                return CHAIN_PRESETS[self.preset]
-            except KeyError:
-                raise ValueError(
-                    f"unknown preset {self.preset!r}; use one of {sorted(CHAIN_PRESETS)}"
-                ) from None
-        it, burn, thin = self.preset
-        return int(it), int(burn), int(thin)
+        return CHAIN_PRESETS[self.preset] if isinstance(self.preset, str) else self.preset
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,7 @@ def _prior_labels(priors) -> list[str]:
     labels = []
     seen = {}
     for p in priors:
-        base = p.label
+        base = p.kind
         seen[base] = seen.get(base, 0) + 1
         labels.append(base if seen[base] == 1 else f"{base}-{seen[base]}")
     return labels
@@ -214,29 +224,6 @@ def _draw_dataset(spec: ScenarioSpec, rng: np.random.Generator):
     return X, md.linreg_sample(params, X, rng)
 
 
-def _build_chain_inputs(spec: ScenarioSpec, prior, dataset):
-    """Target, initial point, and proposal steps for one (prior, dataset)."""
-    if spec.model == "weibull":
-        target = md.weibull_target(dataset, prior)
-        init = md.weibull_init(dataset)
-        steps = np.array([0.3, 0.3])
-    elif spec.model == "dagum":
-        target = md.dagum_target(dataset, prior)
-        init = md.dagum_init(dataset)
-        steps = np.array([0.3, 0.3, 0.3])
-    else:
-        X, y = dataset
-        if prior.kind == "zellner-g" and prior.design is None:
-            prior = prior.with_design(X)
-        target = md.linreg_target(X, y, prior)
-        ls = md.least_squares_init(X, y)
-        init = ls.as_vector()
-        full = np.column_stack([np.ones(X.shape[0]), X])
-        se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
-        steps = np.append(2.4 * np.maximum(se, 1e-6), 0.35)
-    return target, init, steps
-
-
 def _chain_seed(master: int, replicate: int) -> int:
     # one stream per replicate, shared by every prior: common random numbers
     # make the across-prior comparisons paired at the chain level too
@@ -255,7 +242,7 @@ def _run_replicate(spec: ScenarioSpec, replicate: int):
     out = np.empty((len(spec.priors), len(names), 3))
     chain_seed = _chain_seed(spec.seed, replicate)
     for prior_index, prior in enumerate(spec.priors):
-        target, init, steps = _build_chain_inputs(spec, prior, dataset)
+        target, init, steps = md.chain_inputs(spec.model, prior, dataset)
         config = ChainConfig(
             iterations=iterations,
             burn_in=burn_in,
@@ -330,55 +317,13 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
 # scenario files
 
 
-def _prior_to_dict(prior: md.PriorSpec) -> dict:
-    out = {"kind": prior.kind}
-    if prior.kind == "lomax":
-        spec = prior.lomax_spec
-        out.update(
-            dim=spec.dim, shape=spec.shape, scale=spec.scale, folded=sorted(spec.folded)
-        )
-    elif prior.kind == "vague-gamma-product":
-        out.update(shapes=list(prior.gamma_shapes), rates=list(prior.gamma_rates))
-    elif prior.kind == "vague-normal-sigma":
-        out.update(c=prior.c)
-    elif prior.kind == "zellner-g":
-        out.update(g=prior.g)
-    return out
-
-
-def _prior_from_dict(d: dict) -> md.PriorSpec:
-    kind = d.get("kind")
-    if kind == "lomax":
-        if "dim" not in d:
-            raise ValueError("lomax prior in scenario file is missing 'dim'")
-        return md.PriorSpec.lomax(
-            dim=int(d["dim"]),
-            shape=float(d.get("shape", 1.0)),
-            scale=float(d.get("scale", 1.0)),
-            folded=frozenset(int(i) for i in d.get("folded", [])),
-        )
-    if kind == "weibull-reference":
-        return md.PriorSpec.weibull_reference()
-    if kind == "vague-gamma-product":
-        shapes = d.get("shapes", [0.01] * 3)
-        rates = d.get("rates", [0.01] * 3)
-        return md.PriorSpec(
-            kind=kind, gamma_shapes=tuple(shapes), gamma_rates=tuple(rates)
-        )
-    if kind == "vague-normal-sigma":
-        return md.PriorSpec.vague_normal(c=float(d.get("c", 1e6)))
-    if kind == "zellner-g":
-        return md.PriorSpec.zellner(g=float(d.get("g", 500.0)))
-    raise ValueError(f"unknown prior kind {kind!r} in scenario file")
-
-
 def scenario_to_json(spec: ScenarioSpec) -> str:
     doc = {
         "model": spec.model,
         "truth": spec.truth,
         "n": spec.n,
         "replicates": spec.replicates,
-        "priors": [_prior_to_dict(p) for p in spec.priors],
+        "priors": [p.to_dict() for p in spec.priors],
         "preset": list(spec.preset) if isinstance(spec.preset, tuple) else spec.preset,
         "seed": spec.seed,
         "covariate_sd": spec.covariate_sd,
@@ -393,16 +338,23 @@ def scenario_from_json(text: str) -> ScenarioSpec:
     for key in ("model", "truth", "n", "replicates", "priors"):
         if key not in doc:
             raise ValueError(f"scenario file is missing {key!r}")
-    preset = doc.get("preset", "desk")
-    if isinstance(preset, list):
-        preset = tuple(preset)
+    if not isinstance(doc["priors"], list):
+        raise ValueError(f"scenario 'priors' must be a list, got {doc['priors']!r}")
+
+    def number(key, cast, default=None):
+        value = doc.get(key, default)
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"scenario {key!r} must be a number, got {value!r}") from None
+
     return ScenarioSpec(
         model=doc["model"],
         truth=doc["truth"],
-        n=int(doc["n"]),
-        replicates=int(doc["replicates"]),
-        priors=tuple(_prior_from_dict(p) for p in doc["priors"]),
-        preset=preset,
-        seed=int(doc.get("seed", 0)),
-        covariate_sd=float(doc.get("covariate_sd", 3.0)),
+        n=number("n", int),
+        replicates=number("replicates", int),
+        priors=tuple(md.PriorSpec.from_dict(p) for p in doc["priors"]),
+        preset=doc.get("preset", "desk"),
+        seed=number("seed", int, 0),
+        covariate_sd=number("covariate_sd", float, 3.0),
     )

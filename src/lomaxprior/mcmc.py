@@ -38,6 +38,8 @@ ADAPT_LOW = 0.2
 
 SUPPORTS = ("real", "positive")
 
+MIN_DRAWS = 100  # retained draws below which summaries are refused
+
 
 class ChainInitError(ValueError):
     """The chain cannot start: log posterior not finite at the initial point."""
@@ -204,15 +206,15 @@ def summarize(draws, names: Sequence[str] | None = None) -> dict:
     """Per-coordinate mean, median, variance and equal-tailed 95% interval.
 
     Quantiles interpolate linearly between order statistics.  Accepts a
-    ChainOutput or a (kept, dim) array; needs at least 100 retained draws.
+    ChainOutput or a (kept, dim) array; needs at least MIN_DRAWS retained draws.
     """
     if isinstance(draws, ChainOutput):
         names = names or draws.names
         draws = draws.draws
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     n, d = draws.shape
-    if n < 100:
-        raise ValueError(f"need at least 100 retained draws, got {n}")
+    if n < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} retained draws, got {n}")
     if names is None:
         names = [f"x{j}" for j in range(d)]
     out = {}

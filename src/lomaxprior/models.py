@@ -21,6 +21,7 @@ from lomaxprior.lomax import LomaxSpec, log_density, normalizing_constant
 from lomaxprior.mcmc import PosteriorTarget
 
 __all__ = [
+    "MODELS",
     "WeibullParams",
     "DagumParams",
     "LinRegParams",
@@ -45,9 +46,12 @@ __all__ = [
     "linreg_target",
     "weibull_init",
     "dagum_init",
+    "chain_inputs",
     "read_column_csv",
     "read_design_csv",
 ]
+
+MODELS = ("weibull", "dagum", "linreg")
 
 
 @dataclass(frozen=True)
@@ -331,10 +335,11 @@ PRIOR_KINDS = (
 class PriorSpec:
     """One of the competing priors, with its hyperparameters.
 
-    ``design`` is only needed for the g prior: the covariate matrix (no
+    ``design`` is only read for the g prior: the covariate matrix (no
     intercept column) whose XtX shapes the slope-coefficient covariance.
     The intercept itself stays flat, the usual operational form of the
-    g prior; it is usually injected per dataset.
+    g prior.  ``linreg_target`` uses the regression's own covariates when
+    it is None; ``log_prior`` needs it set.
     """
 
     kind: str
@@ -385,20 +390,53 @@ class PriorSpec:
         d = None if design is None else np.atleast_2d(np.asarray(design, dtype=float))
         return PriorSpec(kind="zellner-g", g=g, design=d)
 
-    def with_design(self, design) -> "PriorSpec":
-        return PriorSpec(
-            kind=self.kind,
-            lomax_spec=self.lomax_spec,
-            gamma_shapes=self.gamma_shapes,
-            gamma_rates=self.gamma_rates,
-            c=self.c,
-            g=self.g,
-            design=np.atleast_2d(np.asarray(design, dtype=float)),
-        )
+    # scenario-file form -------------------------------------------------------
 
-    @property
-    def label(self) -> str:
-        return self.kind
+    def to_dict(self) -> dict:
+        """The JSON object a scenario file stores; ``design`` is not stored."""
+        out = {"kind": self.kind}
+        if self.kind == "lomax":
+            spec = self.lomax_spec
+            out.update(dim=spec.dim, shape=spec.shape, scale=spec.scale, folded=sorted(spec.folded))
+        elif self.kind == "vague-gamma-product":
+            out.update(shapes=list(self.gamma_shapes), rates=list(self.gamma_rates))
+        elif self.kind == "vague-normal-sigma":
+            out.update(c=self.c)
+        elif self.kind == "zellner-g":
+            out.update(g=self.g)
+        return out
+
+    @staticmethod
+    def from_dict(d) -> "PriorSpec":
+        """Inverse of ``to_dict``; an absent hyperparameter takes its constructor default."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a prior must be a JSON object with a 'kind', got {d!r}")
+        kind = d.get("kind")
+        try:
+            if kind == "lomax":
+                if "dim" not in d:
+                    raise ValueError("missing 'dim'")
+                return PriorSpec.lomax(
+                    dim=int(d["dim"]),
+                    shape=float(d.get("shape", 1.0)),
+                    scale=float(d.get("scale", 1.0)),
+                    folded=frozenset(int(i) for i in d.get("folded", [])),
+                )
+            if kind == "weibull-reference":
+                return PriorSpec.weibull_reference()
+            if kind == "vague-gamma-product":
+                return PriorSpec(
+                    kind=kind,
+                    gamma_shapes=tuple(float(s) for s in d.get("shapes", [0.01] * 3)),
+                    gamma_rates=tuple(float(r) for r in d.get("rates", [0.01] * 3)),
+                )
+            if kind == "vague-normal-sigma":
+                return PriorSpec.vague_normal(c=float(d.get("c", 1e6)))
+            if kind == "zellner-g":
+                return PriorSpec.zellner(g=float(d.get("g", 500.0)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad {kind!r} prior: {exc}") from None
+        raise ValueError(f"unknown prior kind {kind!r}; use one of {PRIOR_KINDS}")
 
 
 def _gamma_log_norm(shape, rate) -> float:
@@ -648,6 +686,27 @@ def weibull_init(data) -> np.ndarray:
 def dagum_init(data) -> np.ndarray:
     x = _positive_data(data)
     return np.array([2.0, float(np.median(x)), 1.0])
+
+
+def chain_inputs(model: str, prior: PriorSpec, data):
+    """(target, initial point, proposal steps) of one chain, for ``fit`` and ``simulate`` alike.
+
+    ``data`` is the observation vector, or ``(X, y)`` for ``linreg``.  The
+    regression steps are 2.4 least-squares standard errors per coefficient
+    and 0.35 (on the log scale) for the variance.
+    """
+    if model == "weibull":
+        return weibull_target(data, prior), weibull_init(data), np.array([0.3, 0.3])
+    if model == "dagum":
+        return dagum_target(data, prior), dagum_init(data), np.array([0.3, 0.3, 0.3])
+    if model != "linreg":
+        raise ValueError(f"unknown model {model!r}; use one of {MODELS}")
+    X, y = data
+    target = linreg_target(X, y, prior)
+    ls = least_squares_init(X, y)
+    full = np.column_stack([np.ones(X.shape[0]), X])
+    se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
+    return target, ls.as_vector(), np.append(2.4 * np.maximum(se, 1e-6), 0.35)
 
 
 # ---------------------------------------------------------------------------

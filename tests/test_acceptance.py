@@ -253,13 +253,14 @@ def test_criterion_10_regression_single_sample():
     X = rng.normal(0.0, 3.5, size=(100, 2))
     params = md.LinRegParams(truth["beta0"], (truth["beta1"], truth["beta2"]), truth["sigma2"])
     y = md.linreg_sample(params, X, rng)
-    target = md.linreg_target(X, y, md.PriorSpec.lomax(4, folded={1, 2, 3}))
+    target, init, steps = md.chain_inputs("linreg", md.PriorSpec.lomax(4, folded={1, 2, 3}), (X, y))
     ls = md.least_squares_init(X, y)
     full = np.column_stack([np.ones(100), X])
     se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
-    config = mcmc.ChainConfig(
-        100_000, 10_000, 50, ls.as_vector(), np.append(2.4 * se, 0.35), seed=1729
-    )
+    # the recipe fit uses must give this criterion's start and steps bit for bit
+    assert np.array_equal(init, ls.as_vector())
+    assert np.array_equal(steps, np.append(2.4 * se, 0.35))
+    config = mcmc.ChainConfig(100_000, 10_000, 50, init, steps, seed=1729)
     summ = mcmc.summarize(mcmc.run_chain(target, config))
     for name, value in truth.items():
         s = summ[name]

@@ -7,7 +7,10 @@ and the kernels were tuned for speed (numpy scalars, ``np.sum``, a
 draw, acceptance rate and final step bit for bit: the replication criteria
 pin their seeds, so a faster engine has to give today's numbers.  Both
 sides run here, on the same machine, so the comparison holds whatever the
-CPU's vectorized ``exp`` and ``log`` return.
+CPU's vectorized ``exp`` and ``log`` return.  The program side of each
+case is built by ``md.chain_inputs``, the recipe ``fit`` and ``simulate``
+share, and its initial point and steps must equal the recipe written out
+below.
 """
 
 import math
@@ -269,53 +272,57 @@ def reference_linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
 ITERATIONS, BURN_IN, THIN = 2 * ADAPT_WINDOW + 700, 2 * ADAPT_WINDOW + 200, 3
 
 
+# Each case builder returns (data, reference target, init, steps), the last two
+# written out here as the recipe ``md.chain_inputs`` must follow.
+
+
 def _weibull_case(prior, seed):
     data = md.weibull_sample(md.WeibullParams(1.0, 1.0), 30, np.random.default_rng(seed))
-    return (
-        md.weibull_target(data, prior),
-        reference_weibull_target(data, prior),
-        md.weibull_init(data),
-        np.array([0.3, 0.3]),
-    )
+    return data, reference_weibull_target(data, prior), md.weibull_init(data), np.array([0.3, 0.3])
 
 
 def _dagum_case(prior, seed):
     data = md.dagum_sample(md.DagumParams(4.0, 1.0, 0.5), 40, np.random.default_rng(seed))
-    return (
-        md.dagum_target(data, prior),
-        reference_dagum_target(data, prior),
-        md.dagum_init(data),
-        np.array([0.3, 0.3, 0.3]),
-    )
+    return data, reference_dagum_target(data, prior), md.dagum_init(data), np.array([0.3, 0.3, 0.3])
 
 
 def _linreg_case(prior, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, 3.0, size=(100, 2))
     y = md.linreg_sample(md.LinRegParams(2.0, (1.0, -0.5), 4.0), X, rng)
-    if prior.kind == "zellner-g":
-        prior = prior.with_design(X)
     ls = md.least_squares_init(X, y)
     full = np.column_stack([np.ones(X.shape[0]), X])
     se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
     return (
-        md.linreg_target(X, y, prior),
+        (X, y),
         reference_linreg_target(X, y, prior),
         ls.as_vector(),
         np.append(2.4 * np.maximum(se, 1e-6), 0.35),
     )
 
 
+CASE_DATA = {"weibull": _weibull_case, "dagum": _dagum_case, "linreg": _linreg_case}
+
 CASES = {
-    "weibull-lomax": (_weibull_case, PriorSpec.lomax(2)),
-    "weibull-lomax-k3-a0.5": (_weibull_case, PriorSpec.lomax(2, shape=3.0, scale=0.5)),
-    "weibull-reference": (_weibull_case, PriorSpec.weibull_reference()),
-    "dagum-lomax": (_dagum_case, PriorSpec.lomax(3)),
-    "dagum-vague-gamma": (_dagum_case, PriorSpec.vague_gamma()),
-    "linreg-lomax": (_linreg_case, PriorSpec.lomax(4, folded={1, 2, 3})),
-    "linreg-vague-normal": (_linreg_case, PriorSpec.vague_normal()),
-    "linreg-zellner": (_linreg_case, PriorSpec.zellner()),
+    "weibull-lomax": ("weibull", PriorSpec.lomax(2)),
+    "weibull-lomax-k3-a0.5": ("weibull", PriorSpec.lomax(2, shape=3.0, scale=0.5)),
+    "weibull-reference": ("weibull", PriorSpec.weibull_reference()),
+    "dagum-lomax": ("dagum", PriorSpec.lomax(3)),
+    "dagum-vague-gamma": ("dagum", PriorSpec.vague_gamma()),
+    "linreg-lomax": ("linreg", PriorSpec.lomax(4, folded={1, 2, 3})),
+    "linreg-vague-normal": ("linreg", PriorSpec.vague_normal()),
+    "linreg-zellner": ("linreg", PriorSpec.zellner()),
 }
+
+
+def _build(case, seed):
+    """Program target from ``md.chain_inputs``, reference target, and the written-out init and steps."""
+    model, prior = CASES[case]
+    data, reference, init, steps = CASE_DATA[model](prior, seed)
+    target, got_init, got_steps = md.chain_inputs(model, prior, data)
+    assert np.array_equal(got_init, init)
+    assert np.array_equal(got_steps, steps)
+    return target, reference, init, steps
 
 
 def _assert_same_chain(got: ChainOutput, want: ChainOutput):
@@ -329,8 +336,7 @@ def _assert_same_chain(got: ChainOutput, want: ChainOutput):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_chain_matches_reference(case, seed, step_scale):
     """Recipe steps, and steps 4x too wide so that every adaptation window acts."""
-    build, prior = CASES[case]
-    target, reference, init, steps = build(prior, seed)
+    target, reference, init, steps = _build(case, seed)
     steps = step_scale * steps
     config = ChainConfig(
         iterations=ITERATIONS, burn_in=BURN_IN, thin=THIN, initial=init, steps=steps, seed=seed
@@ -345,8 +351,7 @@ def test_chain_matches_reference(case, seed, step_scale):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_log_post_matches_reference(case):
-    build, prior = CASES[case]
-    target, reference, init, steps = build(prior, 5)
+    target, reference, init, steps = _build(case, 5)
     positive = np.array([s == "positive" for s in target.support])
     rng = np.random.default_rng(17)
     for _ in range(200):

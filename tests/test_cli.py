@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,11 +125,13 @@ def test_fit_missing_data_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_fit_prior_model_mismatch(tmp_path):
+def test_fit_prior_model_mismatch(tmp_path, capsys):
     assert run_cli(
         "fit", "--model", "weibull", "--prior", "zellner",
         "--data", "builtin:breakdown34kv", "--out", str(tmp_path),
     ) == 1
+    err = capsys.readouterr().err
+    assert err == "error: prior 'zellner-g' is not defined for the Weibull model\n"
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,35 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
     assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "sim")) == 1
     err = capsys.readouterr().err
     assert err == "error: scenario file is missing 'n'\n"
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"n": None}, "'n' must be a number"),
+        ({"truth": [1, 2]}, "truth must map"),
+        ({"truth": {"scale": None, "shape": 1.0}}, "truth must map"),
+        ({"priors": 5}, "'priors' must be a list"),
+        ({"priors": ["lomax"]}, "JSON object"),
+        ({"priors": [{"kind": "vague-gamma-product", "shapes": ["x", "x", "x"]}]}, "bad 'vague-gamma-product'"),
+        ({"preset": [200, 100, 10]}, "at least 100 retained draws"),
+    ],
+    ids=["n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings", "preset-few-draws"],
+)
+def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):
+    doc = json.loads((Path(__file__).parent.parent / "docs" / "scenario_weibull.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, **change}))
+
+    def no_chain(*args):
+        raise AssertionError("a chain ran before the scenario was rejected")
+
+    monkeypatch.setattr(ex, "run_chain", no_chain)
+    assert run_cli("simulate", "--scenario", str(bad), "--out", str(tmp_path / "sim")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
     assert not (tmp_path / "sim").exists()
 
 

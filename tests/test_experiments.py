@@ -1,6 +1,7 @@
 """Tests for the replication harness: metrics, determinism, datasets."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from lomaxprior import experiments as ex
 from lomaxprior import models as md
 
+SCENARIO_FILES = sorted((Path(__file__).parent.parent / "docs").glob("scenario_*.json"))
 
 def tiny_weibull_spec(**overrides):
     base = dict(
@@ -87,6 +89,36 @@ def test_scenario_validation():
         tiny_weibull_spec(preset="warp").chain_dims()
     assert tiny_weibull_spec(preset="desk").chain_dims() == (20_000, 5_000, 10)
     assert tiny_weibull_spec(preset="full").chain_dims() == (100_000, 10_000, 50)
+
+
+@pytest.mark.parametrize(
+    "preset, match",
+    [
+        ("warp", "unknown preset"),
+        ((2000, 500), r"\[iterations, burn_in, thin\]"),
+        ((2000.0, 500, 5), r"\[iterations, burn_in, thin\]"),
+        (("2000", 500, 5), r"\[iterations, burn_in, thin\]"),
+        (5, r"\[iterations, burn_in, thin\]"),
+        ((200, 100, 10), "at least 100 retained draws"),
+        ((1000, 1000, 1), "at least 100 retained draws"),
+        ((1000, 2000, 1), "at least 100 retained draws"),
+        ((2000, -1, 5), "burn_in >= 0"),
+        ((2000, 500, 0), "thin >= 1"),
+        ((2000, 500, -2), "thin >= 1"),
+    ],
+    ids=[
+        "unknown-name", "two-values", "float", "string", "number", "few-draws",
+        "burn-in-equals-iterations", "burn-in-exceeds-iterations", "negative-burn-in",
+        "thin-zero", "thin-negative",
+    ],
+)
+def test_scenario_rejects_bad_preset_on_construction(preset, match):
+    with pytest.raises(ValueError, match=match):
+        tiny_weibull_spec(preset=preset)
+
+
+def test_smallest_preset_is_accepted():
+    assert tiny_weibull_spec(preset=[1100, 100, 10]).chain_dims() == (1100, 100, 10)
 
 
 def test_scenario_from_json_missing_keys():
@@ -211,6 +243,12 @@ def test_scenario_json_round_trip():
     assert ex.scenario_from_json(ex.scenario_to_json(spec)) == spec
     explicit = tiny_weibull_spec(preset=(900, 100, 2))
     assert ex.scenario_from_json(ex.scenario_to_json(explicit)) == explicit
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
+def test_scenario_files_round_trip(path):
+    text = path.read_text()
+    assert ex.scenario_to_json(ex.scenario_from_json(text)) == text
 
 
 def test_scenario_json_rejects_unknown_prior():

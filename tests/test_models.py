@@ -257,6 +257,47 @@ def test_prior_validation():
         md.log_prior(md.PriorSpec.vague_gamma(), [1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "prior",
+    [
+        md.PriorSpec.lomax(4, shape=2.5, scale=0.5, folded={1, 2, 3}),
+        md.PriorSpec.weibull_reference(),
+        md.PriorSpec.vague_gamma(shape=0.1, rate=0.2),
+        md.PriorSpec.vague_normal(c=10.0),
+        md.PriorSpec.zellner(g=50.0),
+    ],
+    ids=lambda p: p.kind,
+)
+def test_prior_dict_round_trip(prior):
+    assert md.PriorSpec.from_dict(prior.to_dict()) == prior
+
+
+def test_prior_from_dict_defaults():
+    assert md.PriorSpec.from_dict({"kind": "lomax", "dim": 2}) == md.PriorSpec.lomax(2)
+    assert md.PriorSpec.from_dict({"kind": "weibull-reference"}) == md.PriorSpec.weibull_reference()
+    assert md.PriorSpec.from_dict({"kind": "vague-gamma-product"}) == md.PriorSpec.vague_gamma()
+    assert md.PriorSpec.from_dict({"kind": "vague-normal-sigma"}) == md.PriorSpec.vague_normal()
+    assert md.PriorSpec.from_dict({"kind": "zellner-g"}) == md.PriorSpec.zellner()
+
+
+@pytest.mark.parametrize(
+    "d, match",
+    [
+        ("lomax", "JSON object"),
+        ({"kind": "flat"}, "unknown prior kind"),
+        ({"kind": "lomax"}, "missing 'dim'"),
+        ({"kind": "lomax", "dim": None}, "bad 'lomax' prior"),
+        ({"kind": "lomax", "dim": 2, "folded": 5}, "bad 'lomax' prior"),
+        ({"kind": "vague-gamma-product", "shapes": ["x", "x", "x"]}, "bad 'vague-gamma-product' prior"),
+        ({"kind": "vague-gamma-product", "rates": [0.1, -1.0, 0.1]}, "must be > 0"),
+        ({"kind": "zellner-g", "g": [1]}, "bad 'zellner-g' prior"),
+    ],
+)
+def test_prior_from_dict_rejects(d, match):
+    with pytest.raises(ValueError, match=match):
+        md.PriorSpec.from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # posterior targets
 
@@ -311,6 +352,8 @@ def test_target_prior_model_mismatch():
         md.dagum_target([1.0, 2.0], md.PriorSpec.weibull_reference())
     with pytest.raises(ValueError):
         md.linreg_target(np.ones((5, 2)), np.ones(5), md.PriorSpec.lomax(2))
+    with pytest.raises(ValueError, match="unknown model"):
+        md.chain_inputs("cauchy", md.PriorSpec.lomax(2), [1.0, 2.0])
 
 
 def test_target_lomax_dimension_must_match_model():
