@@ -12,8 +12,6 @@ from lomaxprior.lomax import (
     marginal_moments,
     normalizing_constant,
     sample,
-    spec_from_record,
-    spec_to_record,
     univariate_cdf,
     univariate_quantile,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "marginal_moments",
     "normalizing_constant",
     "sample",
-    "spec_from_record",
-    "spec_to_record",
     "univariate_cdf",
     "univariate_quantile",
 ]

@@ -183,7 +183,6 @@ def _fit_inputs(args):
 
 
 def cmd_fit(args) -> int:
-    target, init, steps = _fit_inputs(args)
     iterations, burn_in, thin = (
         ex.CHAIN_PRESETS["full"] if args.full_scale else ex.CHAIN_PRESETS["desk"]
     )
@@ -193,6 +192,8 @@ def cmd_fit(args) -> int:
         burn_in = args.burn_in
     if args.thin:
         thin = args.thin
+    mcmc.check_schedule(iterations, burn_in, thin)
+    target, init, steps = _fit_inputs(args)
     config = mcmc.ChainConfig(
         iterations=iterations,
         burn_in=burn_in,

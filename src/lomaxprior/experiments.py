@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from lomaxprior import models as md
-from lomaxprior.mcmc import MIN_DRAWS, ChainConfig, ChainInitError, run_chain, summarize
+from lomaxprior.mcmc import ChainConfig, ChainInitError, check_schedule, run_chain, summarize
 
 __all__ = [
     "CHAIN_PRESETS",
@@ -100,13 +100,7 @@ class ScenarioSpec:
             object.__setattr__(self, "preset", tuple(int(v) for v in self.preset))
         else:
             raise ValueError(f"preset must be a name or [iterations, burn_in, thin], got {self.preset!r}")
-        iterations, burn_in, thin = self.chain_dims()
-        # with thin >= 1, keeping MIN_DRAWS draws implies burn_in < iterations
-        if burn_in < 0 or thin < 1 or (iterations - burn_in) // thin < MIN_DRAWS:
-            raise ValueError(
-                f"preset {[iterations, burn_in, thin]} needs burn_in >= 0, thin >= 1 and at least"
-                f" {MIN_DRAWS} retained draws, (iterations - burn_in) // thin"
-            )
+        check_schedule(*self.chain_dims())
 
     def chain_dims(self) -> tuple[int, int, int]:
         return CHAIN_PRESETS[self.preset] if isinstance(self.preset, str) else self.preset
@@ -335,6 +329,10 @@ def scenario_from_json(text: str) -> ScenarioSpec:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("scenario file must hold a JSON object")
+    known = tuple(f.name for f in fields(ScenarioSpec))
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"scenario file has unknown key {unknown[0]!r}; use {known}")
     for key in ("model", "truth", "n", "replicates", "priors"):
         if key not in doc:
             raise ValueError(f"scenario file is missing {key!r}")

@@ -37,9 +37,10 @@ __all__ = [
     "laplace_mixture_density",
     "folded_density_closed_form",
     "normalization_quadrature",
-    "spec_to_record",
-    "spec_from_record",
 ]
+
+
+MAX_QUADRATURE_POINTS = 2**24  # normalization_quadrature's grid cap, 128 MiB per float array
 
 
 class QuadratureError(RuntimeError):
@@ -294,9 +295,15 @@ def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
     integral evaluated on a tensor Gauss-Legendre grid; folded coordinates
     contribute both half-lines (the density is evaluated at the actual
     negative points, the sign symmetry is not assumed).  Returns a value
-    that should be 1 for a correctly normalized spec.
+    that should be 1 for a correctly normalized spec.  Grids of more than
+    MAX_QUADRATURE_POINTS points (nodes**dim) are refused before any allocation.
     """
-    z, w = np.polynomial.legendre.leggauss(int(nodes))
+    nodes = int(nodes)
+    if nodes**spec.dim > MAX_QUADRATURE_POINTS:
+        raise ValueError(
+            f"a {nodes}**{spec.dim} quadrature grid exceeds {MAX_QUADRATURE_POINTS} points; use fewer nodes"
+        )
+    z, w = np.polynomial.legendre.leggauss(nodes)
     t = 0.5 * (z + 1.0)
     a = spec.scale
     x1 = a * t / (1.0 - t)
@@ -318,36 +325,3 @@ def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
             w_grid = w_grid * w1.reshape(shape)
         total += float(np.sum(w_grid * _density_from_sum(spec, s_grid)))
     return total
-
-
-def spec_to_record(spec: LomaxSpec) -> str:
-    """Plain-text key-value serialization (dim, shape, scale, folded)."""
-    folded = ",".join(str(i) for i in sorted(spec.folded))
-    return (
-        f"dim={spec.dim}\n"
-        f"shape={spec.shape!r}\n"
-        f"scale={spec.scale!r}\n"
-        f"folded={folded}\n"
-    )
-
-
-def spec_from_record(text: str) -> LomaxSpec:
-    """Inverse of :func:`spec_to_record`."""
-    fields = {}
-    for line in text.strip().splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    missing = {"dim", "shape", "scale", "folded"} - set(fields)
-    if missing:
-        raise ValueError(f"record is missing keys: {sorted(missing)}")
-    folded = frozenset(
-        int(tok) for tok in fields["folded"].split(",") if tok.strip()
-    )
-    return LomaxSpec(
-        dim=int(fields["dim"]),
-        shape=float(fields["shape"]),
-        scale=float(fields["scale"]),
-        folded=folded,
-    )

@@ -23,6 +23,7 @@ __all__ = [
     "ChainOutput",
     "ChainInitError",
     "run_chain",
+    "check_schedule",
     "adapt_steps",
     "summarize",
     "effective_sample_size",
@@ -39,6 +40,16 @@ ADAPT_LOW = 0.2
 SUPPORTS = ("real", "positive")
 
 MIN_DRAWS = 100  # retained draws below which summaries are refused
+
+
+def check_schedule(iterations: int, burn_in: int, thin: int) -> None:
+    """Refuse a chain schedule that keeps fewer than MIN_DRAWS draws, (iterations - burn_in) // thin."""
+    # with thin >= 1, keeping MIN_DRAWS draws implies burn_in < iterations
+    if burn_in < 0 or thin < 1 or (iterations - burn_in) // thin < MIN_DRAWS:
+        raise ValueError(
+            f"[iterations, burn_in, thin] = {[iterations, burn_in, thin]} needs burn_in >= 0, thin >= 1"
+            f" and at least {MIN_DRAWS} retained draws, (iterations - burn_in) // thin"
+        )
 
 
 class ChainInitError(ValueError):

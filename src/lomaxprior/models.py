@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec, log_density, normalizing_constant
+from lomaxprior.lomax import LomaxSpec, normalizing_constant
 from lomaxprior.mcmc import PosteriorTarget
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "linreg_loglik",
     "linreg_sample",
     "least_squares_init",
-    "log_prior",
     "weibull_target",
     "dagum_target",
     "linreg_target",
@@ -322,13 +321,14 @@ def least_squares_init(X, y) -> LinRegParams:
 # priors
 
 
-PRIOR_KINDS = (
-    "lomax",
-    "weibull-reference",
-    "vague-gamma-product",
-    "vague-normal-sigma",
-    "zellner-g",
-)
+# each prior kind with the keys its scenario-file object may hold besides "kind"
+PRIOR_KINDS = {
+    "lomax": ("dim", "shape", "scale", "folded"),
+    "weibull-reference": (),
+    "vague-gamma-product": ("shapes", "rates"),
+    "vague-normal-sigma": ("c",),
+    "zellner-g": ("g",),
+}
 
 
 @dataclass(frozen=True)
@@ -338,8 +338,8 @@ class PriorSpec:
     ``design`` is only read for the g prior: the covariate matrix (no
     intercept column) whose XtX shapes the slope-coefficient covariance.
     The intercept itself stays flat, the usual operational form of the
-    g prior.  ``linreg_target`` uses the regression's own covariates when
-    it is None; ``log_prior`` needs it set.
+    g prior.  ``linreg_target``, its only reader, uses the regression's own
+    covariates when it is None.
     """
 
     kind: str
@@ -351,8 +351,8 @@ class PriorSpec:
     design: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"unknown prior kind {self.kind!r}; use one of {PRIOR_KINDS}")
+        if self.kind not in tuple(PRIOR_KINDS):  # a tuple: an unhashable kind is unknown too
+            raise ValueError(f"unknown prior kind {self.kind!r}; use one of {tuple(PRIOR_KINDS)}")
         if self.kind == "lomax" and self.lomax_spec is None:
             raise ValueError("lomax prior needs a LomaxSpec")
         if self.kind == "vague-gamma-product":
@@ -412,6 +412,12 @@ class PriorSpec:
         if not isinstance(d, dict):
             raise ValueError(f"a prior must be a JSON object with a 'kind', got {d!r}")
         kind = d.get("kind")
+        if kind not in tuple(PRIOR_KINDS):
+            raise ValueError(f"unknown prior kind {kind!r}; use one of {tuple(PRIOR_KINDS)}")
+        keys = ("kind", *PRIOR_KINDS[kind])
+        unknown = [key for key in d if key not in keys]
+        if unknown:
+            raise ValueError(f"bad {kind!r} prior: unknown key {unknown[0]!r}; use {keys}")
         try:
             if kind == "lomax":
                 if "dim" not in d:
@@ -432,11 +438,9 @@ class PriorSpec:
                 )
             if kind == "vague-normal-sigma":
                 return PriorSpec.vague_normal(c=float(d.get("c", 1e6)))
-            if kind == "zellner-g":
-                return PriorSpec.zellner(g=float(d.get("g", 500.0)))
+            return PriorSpec.zellner(g=float(d.get("g", 500.0)))  # the last kind left
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad {kind!r} prior: {exc}") from None
-        raise ValueError(f"unknown prior kind {kind!r}; use one of {PRIOR_KINDS}")
 
 
 def _gamma_log_norm(shape, rate) -> float:
@@ -450,62 +454,6 @@ def _gamma_log_norm(shape, rate) -> float:
 def _gamma_logpdf(x, shape, rate, log_norm):
     """Gamma(shape, rate) log density at x, given log_norm = _gamma_log_norm(shape, rate)."""
     return log_norm + (shape - 1.0) * math.log(x) - rate * x
-
-
-def log_prior(prior: PriorSpec, params) -> float:
-    """Unnormalized log prior density at a model parameter vector.
-
-    For the regression priors the vector is (intercept, coefficients...,
-    sigma^2); the improper sigma^-1 factor appears as -log sigma^2 in this
-    parameterization.
-    """
-    x = np.atleast_1d(np.asarray(params, dtype=float))
-    kind = prior.kind
-    if kind == "lomax":
-        return log_density(prior.lomax_spec, x)
-    if kind == "weibull-reference":
-        if np.any(x <= 0):
-            raise ValueError("reference prior support is the positive quadrant")
-        return -float(np.sum(np.log(x)))
-    if kind == "vague-gamma-product":
-        if x.size != len(prior.gamma_shapes):
-            raise ValueError("parameter vector does not match the Gamma components")
-        if np.any(x <= 0):
-            raise ValueError("gamma product support is the positive orthant")
-        return float(
-            sum(
-                _gamma_logpdf(xi, s, r, _gamma_log_norm(s, r))
-                for xi, s, r in zip(x, prior.gamma_shapes, prior.gamma_rates)
-            )
-        )
-    if kind == "vague-normal-sigma":
-        coef, var = x[:-1], x[-1]
-        if var <= 0:
-            raise ValueError("variance must be > 0")
-        quad = float(coef @ coef) / prior.c
-        return -math.log(var) - 0.5 * coef.size * math.log(2.0 * math.pi * prior.c) - 0.5 * quad
-    if kind == "zellner-g":
-        if prior.design is None:
-            raise ValueError("zellner-g prior needs its design matrix")
-        slopes, var = x[1:-1], x[-1]  # intercept x[0] is flat
-        if var <= 0:
-            raise ValueError("variance must be > 0")
-        xc = prior.design - prior.design.mean(axis=0)
-        xtx = xc.T @ xc
-        if slopes.size != xtx.shape[0]:
-            raise ValueError("slope block does not match the design matrix")
-        sign, logdet_xtx = np.linalg.slogdet(xtx)
-        if sign <= 0:
-            raise ValueError("design matrix must have full column rank")
-        p = slopes.size
-        quad = float(slopes @ xtx @ slopes) / (var * prior.g)
-        return (
-            -math.log(var)
-            - 0.5 * p * math.log(2.0 * math.pi * var * prior.g)
-            + 0.5 * logdet_xtx
-            - 0.5 * quad
-        )
-    raise ValueError(f"unknown prior kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,9 @@ def test_criterion_06_penalty_experiment():
 
 
 # one pinned seed per desk-scale scenario; see the harness notes on why the
-# shape-parameter comparison is a near-zero effect that needs a fixed stream
+# shape-parameter comparison is a near-zero effect that needs a fixed stream.
+# The scenarios run on two worker processes: run_scenario's numbers do not
+# depend on the worker count (test_run_scenario_workers_match_serial).
 WEIBULL_SCENARIOS = {(30, 0.5): 741, (30, 1.0): 702, (100, 0.5): 743, (100, 1.0): 724}
 
 
@@ -168,7 +170,7 @@ def run_weibull_scenario(n, shape, seed):
         preset="desk",
         seed=seed,
     )
-    return ex.run_scenario(spec)
+    return ex.run_scenario(spec, workers=2)
 
 
 @pytest.mark.slow
@@ -211,7 +213,7 @@ def test_criterion_08_dagum_replication():
         preset="desk",
         seed=801,
     )
-    tab = ex.run_scenario(spec)
+    tab = ex.run_scenario(spec, workers=2)
     assert tab.get("lomax", "p").rel_rmse < tab.get("vague-gamma-product", "p").rel_rmse
     for row in tab.rows:
         assert row.coverage >= 0.90, (row.prior, row.parameter, row.coverage)
@@ -290,7 +292,7 @@ def test_criterion_11_regression_frequentist_parity():
         seed=1101,
         covariate_sd=1.0,
     )
-    tab = ex.run_scenario(spec)
+    tab = ex.run_scenario(spec, workers=2)
     labels = ("lomax", "vague-normal-sigma", "zellner-g")
     worst_rmse_spread = 0.0
     worst_cov_spread = 0.0

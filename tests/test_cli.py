@@ -134,6 +134,30 @@ def test_fit_prior_model_mismatch(tmp_path, capsys):
     assert err == "error: prior 'zellner-g' is not defined for the Weibull model\n"
 
 
+@pytest.mark.parametrize(
+    "schedule, match",
+    [
+        (["--iterations", "1000", "--burn-in", "950"], "at least 100 retained draws"),
+        (["--iterations", "1000", "--burn-in", "-5"], "burn_in >= 0"),
+        (["--burn-in", "20000"], "at least 100 retained draws"),
+        (["--thin", "200"], "at least 100 retained draws"),
+    ],
+    ids=["few-draws", "negative-burn-in", "burn-in-whole-chain", "thin-too-coarse"],
+)
+def test_fit_rejects_short_schedule_before_chain(tmp_path, capsys, monkeypatch, schedule, match):
+    def no_chain(*args):
+        raise AssertionError("a chain ran before the schedule was rejected")
+
+    monkeypatch.setattr(mcmc, "run_chain", no_chain)
+    out = tmp_path / "fit"
+    argv = ["fit", "--model", "weibull", "--data", "builtin:breakdown34kv", *schedule, "--out", str(out)]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
+    assert not (out / "draws.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -192,8 +216,13 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
         ({"priors": ["lomax"]}, "JSON object"),
         ({"priors": [{"kind": "vague-gamma-product", "shapes": ["x", "x", "x"]}]}, "bad 'vague-gamma-product'"),
         ({"preset": [200, 100, 10]}, "at least 100 retained draws"),
+        ({"covariate-sd": 1.0}, "unknown key 'covariate-sd'"),
+        ({"priors": [{"kind": "lomax", "dim": 2, "shpae": 3.0}]}, "unknown key 'shpae'"),
     ],
-    ids=["n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings", "preset-few-draws"],
+    ids=[
+        "n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings",
+        "preset-few-draws", "scenario-key-misspelt", "prior-key-misspelt",
+    ],
 )
 def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):
     doc = json.loads((Path(__file__).parent.parent / "docs" / "scenario_weibull.json").read_text())

@@ -304,20 +304,17 @@ def test_normalization_folded():
     assert abs(lm.normalization_quadrature(spec4, nodes=48) - 1.0) < 2e-3
 
 
-# ---------------------------------------------------------------------------
-# serialization
+def test_normalization_grid_cap(monkeypatch):
+    class GridStarted(Exception):
+        pass
 
+    def no_grid(nodes):
+        raise GridStarted
 
-def test_record_round_trip():
-    specs = [
-        lm.LomaxSpec(1),
-        lm.LomaxSpec(3, 2.5, 0.5),
-        lm.LomaxSpec(4, folded=frozenset({1, 2, 3})),
-    ]
-    for spec in specs:
-        assert lm.spec_from_record(lm.spec_to_record(spec)) == spec
-
-
-def test_record_missing_key():
-    with pytest.raises(ValueError):
-        lm.spec_from_record("dim=2\nshape=1.0\n")
+    # the cap is checked before the first array, the Gauss-Legendre rule, is made
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_grid)
+    for spec, nodes in [(lm.LomaxSpec(5), 64), (lm.LomaxSpec(2), 4097), (lm.LomaxSpec(25), 2)]:
+        with pytest.raises(ValueError, match="exceeds 16777216 points"):
+            lm.normalization_quadrature(spec, nodes=nodes)
+    with pytest.raises(GridStarted):
+        lm.normalization_quadrature(lm.LomaxSpec(2), nodes=4096)  # 2**24 points exactly

@@ -178,42 +178,57 @@ def test_least_squares_init_recovers():
 # priors
 
 
+def prior_term(target, v, loglik):
+    """The prior part of a target's log posterior at v: log_post(v) minus the log likelihood."""
+    return target.log_post(np.asarray(v, dtype=float)) - loglik
+
+
+def linreg_prior_term(X, y, prior, v):
+    params = md.LinRegParams(v[0], tuple(v[1:-1]), v[-1])
+    return prior_term(md.linreg_target(X, y, prior), v, md.linreg_loglik(params, X, y))
+
+
 def test_reference_prior_value():
-    assert md.log_prior(md.PriorSpec.weibull_reference(), [2.0, 4.0]) == pytest.approx(
-        -math.log(8.0), rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        md.log_prior(md.PriorSpec.weibull_reference(), [-1.0, 1.0])
+    # one observation at the scale keeps the subtracted log likelihood near -0.3
+    data = np.array([2.0])
+    target = md.weibull_target(data, md.PriorSpec.weibull_reference())
+    got = prior_term(target, [2.0, 4.0], md.weibull_loglik(md.WeibullParams(2.0, 4.0), data))
+    assert got == pytest.approx(-math.log(8.0), rel=1e-14)
+    assert target.log_post(np.array([-1.0, 1.0])) == -math.inf
 
 
 def test_lomax_prior_value():
     prior = md.PriorSpec.lomax(4, folded={1, 2, 3})
-    got = md.log_prior(prior, [0.0, 0.0, 0.0, 1e-12])
+    # y is fitted exactly at each point, so r @ r = 0 and only the variance term is left
+    X = np.zeros((1, 2))
+    got = linreg_prior_term(X, np.array([0.0]), prior, [0.0, 0.0, 0.0, 1e-12])
     assert got == pytest.approx(math.log(3.0), abs=1e-9)
     # folded coefficients may be negative
-    got = md.log_prior(prior, [-2.0, 1.0, -0.5, 2.0])
+    got = linreg_prior_term(X, np.array([-2.0]), prior, [-2.0, 1.0, -0.5, 2.0])
     assert got == pytest.approx(math.log(3.0) - 5.0 * math.log(1 + 2 + 1 + 0.5 + 2), rel=1e-12)
 
 
 def test_vague_gamma_prior_matches_scipy():
     prior = md.PriorSpec.vague_gamma(shape=0.01, rate=0.01)
     pt = [1.0, 2.0, 0.5]
+    data = np.array([2.0])
+    got = prior_term(md.dagum_target(data, prior), pt, md.dagum_loglik(md.DagumParams(*pt), data))
     want = float(np.sum(stats.gamma.logpdf(pt, 0.01, scale=1 / 0.01)))
-    assert md.log_prior(prior, pt) == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_vague_gamma_components_normalize():
-    # each 1-d factor integrates to 1, so the quadrature-normalized density
-    # matches the closed form used in log_prior
+    # each 1-d factor of dagum_target's Gamma product integrates to 1
     shape, rate = 0.5, 0.25
-    f = lambda x: math.exp(shape * math.log(rate) - math.lgamma(shape) + (shape - 1) * math.log(x) - rate * x)
+    log_norm = md._gamma_log_norm(shape, rate)
+    f = lambda x: math.exp(md._gamma_logpdf(x, shape, rate, log_norm))
     val, _ = integrate.quad(f, 0, np.inf, limit=400)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_vague_normal_prior():
     prior = md.PriorSpec.vague_normal(c=4.0)
-    got = md.log_prior(prior, [1.0, 2.0, 0.0, 3.0])
+    got = linreg_prior_term(np.zeros((1, 2)), np.array([1.0]), prior, [1.0, 2.0, 0.0, 3.0])
     want = -math.log(3.0) + float(np.sum(stats.norm.logpdf([1.0, 2.0, 0.0], 0, 2.0)))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -222,11 +237,12 @@ def test_zellner_prior_coefficient_block_normalizes():
     # one covariate: integrate the slope factor over R (intercept is flat)
     rng = np.random.default_rng(3)
     design = rng.normal(size=(40, 1))
-    prior = md.PriorSpec.zellner(g=50.0, design=design)
+    prior = md.PriorSpec.zellner(g=50.0)
+    y = np.full(40, 0.7)  # fitted exactly at slope 0
     var = 1.3
 
     def slope_density(b):
-        return math.exp(md.log_prior(prior, [0.7, b, var]) + math.log(var))
+        return math.exp(linreg_prior_term(design, y, prior, [0.7, b, var]) + math.log(var))
 
     val, _ = integrate.quad(slope_density, -np.inf, np.inf, limit=400)
     assert val == pytest.approx(1.0, abs=1e-4)
@@ -235,15 +251,17 @@ def test_zellner_prior_coefficient_block_normalizes():
 def test_zellner_prior_matches_mvn():
     rng = np.random.default_rng(4)
     design = rng.normal(size=(30, 2))
-    prior = md.PriorSpec.zellner(g=500.0, design=design)
+    prior = md.PriorSpec.zellner(g=500.0)
     slopes = np.array([-1.0, 0.3])
     var = 2.0
     xc = design - design.mean(axis=0)
     cov = var * 500.0 * np.linalg.inv(xc.T @ xc)
     want = -math.log(var) + stats.multivariate_normal.logpdf(slopes, np.zeros(2), cov)
-    assert md.log_prior(prior, [20.0, *slopes, var]) == pytest.approx(want, rel=1e-10)
-    # the flat intercept does not move the value
-    assert md.log_prior(prior, [-3.0, *slopes, var]) == pytest.approx(want, rel=1e-10)
+    # the flat intercept does not move the value; y is fitted at each point
+    for intercept in (20.0, -3.0):
+        y = intercept + design @ slopes
+        got = linreg_prior_term(design, y, prior, [intercept, *slopes, var])
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_prior_validation():
@@ -251,10 +269,8 @@ def test_prior_validation():
         md.PriorSpec(kind="nope")
     with pytest.raises(ValueError):
         md.PriorSpec(kind="lomax")
-    with pytest.raises(ValueError):
-        md.log_prior(md.PriorSpec.zellner(), [0.0, 0.0, 0.0, 1.0])  # no design
-    with pytest.raises(ValueError):
-        md.log_prior(md.PriorSpec.vague_gamma(), [1.0, -1.0, 1.0])
+    target = md.dagum_target([1.0, 2.0], md.PriorSpec.vague_gamma())
+    assert target.log_post(np.array([1.0, -1.0, 1.0])) == -math.inf
 
 
 @pytest.mark.parametrize(
@@ -291,6 +307,11 @@ def test_prior_from_dict_defaults():
         ({"kind": "vague-gamma-product", "shapes": ["x", "x", "x"]}, "bad 'vague-gamma-product' prior"),
         ({"kind": "vague-gamma-product", "rates": [0.1, -1.0, 0.1]}, "must be > 0"),
         ({"kind": "zellner-g", "g": [1]}, "bad 'zellner-g' prior"),
+        ({"kind": "lomax", "dim": 2, "shpae": 3.0}, "bad 'lomax' prior: unknown key 'shpae'"),
+        ({"kind": "weibull-reference", "dim": 2}, "unknown key 'dim'"),
+        ({"kind": "vague-normal-sigma", "g": 500.0}, "unknown key 'g'"),
+        ({"kind": "zellner-g", "design": [[1.0]]}, "unknown key 'design'"),
+        ({"kind": ["lomax"], "dim": 2}, "unknown prior kind"),
     ],
 )
 def test_prior_from_dict_rejects(d, match):
@@ -307,9 +328,8 @@ def test_weibull_target_composes():
     prior = md.PriorSpec.lomax(2)
     target = md.weibull_target(data, prior)
     v = np.array([1.3, 0.9])
-    want = md.weibull_loglik(md.WeibullParams(1.3, 0.9), data) + md.log_prior(
-        prior, v
-    )
+    # LM(2, 1, 1): log(1 * 2) - 3 log(1 + theta + beta)
+    want = md.weibull_loglik(md.WeibullParams(1.3, 0.9), data) + math.log(2.0) - 3.0 * math.log(3.2)
     assert target.log_post(v) == pytest.approx(want, rel=1e-12)
     assert target.log_post(np.array([-1.0, 1.0])) == -math.inf
     assert target.names == ("scale", "shape")
@@ -317,10 +337,18 @@ def test_weibull_target_composes():
 
 def test_dagum_target_composes():
     data = np.array([0.5, 1.0, 2.0])
+    v = np.array([2.0, 1.1, 0.7])
+    log_priors = {
+        # LM(3, 1, 1): log(1 * 2 * 3) - 4 log(1 + a + b + p)
+        "lomax": math.log(6.0) - 4.0 * math.log(4.8),
+        # Gamma(0.01, 0.01) in each coordinate
+        "vague-gamma-product": sum(
+            0.01 * math.log(0.01) - math.lgamma(0.01) - 0.99 * math.log(x) - 0.01 * x for x in v
+        ),
+    }
     for prior in [md.PriorSpec.lomax(3), md.PriorSpec.vague_gamma()]:
         target = md.dagum_target(data, prior)
-        v = np.array([2.0, 1.1, 0.7])
-        want = md.dagum_loglik(md.DagumParams(*v), data) + md.log_prior(prior, v)
+        want = md.dagum_loglik(md.DagumParams(*v), data) + log_priors[prior.kind]
         assert target.log_post(v) == pytest.approx(want, rel=1e-12)
         assert target.log_post(np.array([2.0, -1.0, 0.7])) == -math.inf
 
@@ -329,16 +357,28 @@ def test_linreg_target_composes():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(20, 2))
     y = rng.normal(size=20)
+    v = np.array([0.2, 1.0, -0.5, 1.5])
+    slopes, var = v[1:3], 1.5
+    xc = X - X.mean(axis=0)
+    xtx = xc.T @ xc
+    log_priors = {
+        # LM(4, 1, 1), coefficients folded: log(4! / 2^3) - 5 log(1 + sum|coef| + sigma2)
+        "lomax": math.log(3.0) - 5.0 * math.log(1.0 + 0.2 + 1.0 + 0.5 + 1.5),
+        # 1/sigma2 times N(0, 1e6) on each of the three coefficients
+        "vague-normal-sigma": -math.log(var) - 1.5 * math.log(2e6 * math.pi) - 0.5 * 1.29 / 1e6,
+        # 1/sigma2 times N(0, g sigma2 (Xc'Xc)^-1) on the slopes, g = 500
+        "zellner-g": -math.log(var)
+        - math.log(2.0 * math.pi * var * 500.0)
+        + 0.5 * np.linalg.slogdet(xtx)[1]
+        - 0.5 * float(slopes @ xtx @ slopes) / (var * 500.0),
+    }
     for prior in [
         md.PriorSpec.lomax(4, folded={1, 2, 3}),
         md.PriorSpec.vague_normal(),
         md.PriorSpec.zellner(design=X),
     ]:
         target = md.linreg_target(X, y, prior)
-        v = np.array([0.2, 1.0, -0.5, 1.5])
-        want = md.linreg_loglik(
-            md.LinRegParams(0.2, (1.0, -0.5), 1.5), X, y
-        ) + md.log_prior(prior, v)
+        want = md.linreg_loglik(md.LinRegParams(0.2, (1.0, -0.5), 1.5), X, y) + log_priors[prior.kind]
         assert target.log_post(v) == pytest.approx(want, rel=1e-12)
         assert target.log_post(np.array([0.2, 1.0, -0.5, -1.0])) == -math.inf
     assert target.names == ("beta0", "beta1", "beta2", "sigma2")
