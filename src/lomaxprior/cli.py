@@ -69,16 +69,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # prior
 
@@ -109,13 +99,13 @@ def cmd_prior(args) -> int:
                     rows.append((float(x), float(y), lx.density(spec, [x, y])))
             header = ["x", "y", "density"]
         path = out / "prior_grid.csv"
-        _write_csv(path, header, rows)
+        mcmc.write_csv(path, header, rows)
         wrote.append(path)
     if args.samples:
         rng = np.random.default_rng(args.seed)
         draws = lx.sample(spec, rng, size=args.samples)
         path = out / "prior_samples.csv"
-        _write_csv(path, [f"x{i+1}" for i in range(spec.dim)], [tuple(map(float, r)) for r in draws])
+        mcmc.write_csv(path, [f"x{i+1}" for i in range(spec.dim)], draws)
         wrote.append(path)
     if not wrote:
         raise ValueError("nothing to do: pass --grid and/or --samples")
@@ -245,7 +235,7 @@ def cmd_simulate(args) -> int:
     table = ex.run_scenario(spec, workers=args.workers)
     out = _outdir(args)
     csv_path = out / "metrics.csv"
-    csv_path.write_text(table.to_csv())
+    table.to_csv(csv_path)
     txt_path = out / "metrics.txt"
     txt_path.write_text(table.to_text())
     print(csv_path)
@@ -271,7 +261,7 @@ def cmd_penalty(args) -> int:
             rows.append((lam, beta, ml, mn))
     out = _outdir(args)
     path = out / "penalty.csv"
-    _write_csv(path, ["lambda", "beta", "mse_lasso", "mse_logpenalty"], rows)
+    mcmc.write_csv(path, ["lambda", "beta", "mse_lasso", "mse_logpenalty"], rows)
     print(path)
     if not args.quiet:
         for lam, beta, ml, mn in rows:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from lomaxprior import models as md
-from lomaxprior.mcmc import ChainConfig, ChainInitError, check_schedule, run_chain, summarize
+from lomaxprior.mcmc import ChainConfig, ChainInitError, check_schedule, run_chain, summarize, write_csv
 
 __all__ = [
     "CHAIN_PRESETS",
@@ -80,6 +80,12 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.model not in md.MODELS:
             raise ValueError(f"unknown model {self.model!r}; use one of {md.MODELS}")
+        try:
+            for key in ("n", "replicates", "seed"):
+                object.__setattr__(self, key, md.integer_key(key, getattr(self, key)))
+            object.__setattr__(self, "covariate_sd", md.real_key("covariate_sd", self.covariate_sd))
+        except ValueError as exc:
+            raise ValueError(f"scenario {exc}") from None
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.n < 2:
@@ -128,14 +134,12 @@ class MetricsTable:
                 return row
         raise KeyError(f"no row for ({prior!r}, {parameter!r})")
 
-    def to_csv(self) -> str:
-        lines = ["scenario,prior,parameter,rel_rmse,coverage,mean_width"]
-        for r in self.rows:
-            lines.append(
-                f"{self.scenario},{r.prior},{r.parameter},"
-                f"{r.rel_rmse!r},{r.coverage!r},{r.mean_width!r}"
-            )
-        return "\n".join(lines) + "\n"
+    def to_csv(self, path):
+        write_csv(
+            path,
+            ("scenario", "prior", "parameter", "rel_rmse", "coverage", "mean_width"),
+            ((self.scenario, r.prior, r.parameter, r.rel_rmse, r.coverage, r.mean_width) for r in self.rows),
+        )
 
     def to_text(self) -> str:
         header = f"{'prior':<22}{'parameter':<12}{'rel_rmse':>12}{'coverage':>10}{'width':>12}"
@@ -235,8 +239,9 @@ def _run_replicate(spec: ScenarioSpec, replicate: int):
     iterations, burn_in, thin = spec.chain_dims()
     out = np.empty((len(spec.priors), len(names), 3))
     chain_seed = _chain_seed(spec.seed, replicate)
-    for prior_index, prior in enumerate(spec.priors):
-        target, init, steps = md.chain_inputs(spec.model, prior, dataset)
+    # every prior is checked against the model before the first chain runs
+    inputs = [md.chain_inputs(spec.model, prior, dataset) for prior in spec.priors]
+    for prior_index, (target, init, steps) in enumerate(inputs):
         config = ChainConfig(
             iterations=iterations,
             burn_in=burn_in,
@@ -338,21 +343,4 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             raise ValueError(f"scenario file is missing {key!r}")
     if not isinstance(doc["priors"], list):
         raise ValueError(f"scenario 'priors' must be a list, got {doc['priors']!r}")
-
-    def number(key, cast, default=None):
-        value = doc.get(key, default)
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"scenario {key!r} must be a number, got {value!r}") from None
-
-    return ScenarioSpec(
-        model=doc["model"],
-        truth=doc["truth"],
-        n=number("n", int),
-        replicates=number("replicates", int),
-        priors=tuple(md.PriorSpec.from_dict(p) for p in doc["priors"]),
-        preset=doc.get("preset", "desk"),
-        seed=number("seed", int, 0),
-        covariate_sd=number("covariate_sd", float, 3.0),
-    )
+    return ScenarioSpec(**dict(doc, priors=tuple(md.PriorSpec.from_dict(p) for p in doc["priors"])))

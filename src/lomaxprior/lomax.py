@@ -37,10 +37,13 @@ __all__ = [
     "laplace_mixture_density",
     "folded_density_closed_form",
     "normalization_quadrature",
+    "half_line_rule",
 ]
 
 
 MAX_QUADRATURE_POINTS = 2**24  # normalization_quadrature's grid cap, 128 MiB per float array
+MIXTURE_TAIL = 40.0  # laplace_mixture_density integrates s up to (MIXTURE_TAIL + 5 d) / (1 + sum |x_j|)
+MIXTURE_RTOL = 1e-6  # its required agreement with the closed form
 
 
 class QuadratureError(RuntimeError):
@@ -251,19 +254,13 @@ def folded_density_closed_form(d: int, x) -> float:
     return math.factorial(d) / 2**d * (1.0 + t) ** (-(d + 1))
 
 
-def laplace_mixture_density(
-    d: int,
-    x,
-    nodes: int = 200,
-    tail: float = 40.0,
-    check_tol: float = 1e-6,
-) -> float:
+def laplace_mixture_density(d: int, x, nodes: int = 200) -> float:
     """Scale mixture of independent Laplace densities with Exp(1) mixing.
 
     Evaluates  int_0^inf prod_j (s/2) exp(-s |x_j|) exp(-s) ds  by
     Gauss-Legendre quadrature on [0, T], where T is chosen so the dropped
     tail is far below the target accuracy.  The result must agree with the
-    closed-form fully folded LM(d, 1, 1) density to relative ``check_tol``,
+    closed-form fully folded LM(d, 1, 1) density to relative MIXTURE_RTOL,
     otherwise a QuadratureError is raised.
     """
     if d < 1:
@@ -273,29 +270,35 @@ def laplace_mixture_density(
         raise ValueError(f"x must have length {d}")
     t = float(np.sum(np.abs(x)))
     rate = 1.0 + t
-    upper = (tail + 5.0 * d) / rate
+    upper = (MIXTURE_TAIL + 5.0 * d) / rate
     z, w = np.polynomial.legendre.leggauss(int(nodes))
     s = 0.5 * upper * (z + 1.0)
     ws = 0.5 * upper * w
     integrand = (s / 2.0) ** d * np.exp(-s * rate)
     value = float(np.dot(ws, integrand))
     closed = folded_density_closed_form(d, x)
-    if abs(value - closed) > check_tol * closed:
+    if abs(value - closed) > MIXTURE_RTOL * closed:
         raise QuadratureError(
             f"mixture quadrature off by {abs(value - closed) / closed:.3e} "
-            f"relative (tol {check_tol:.1e}); increase nodes/tail"
+            f"relative (tol {MIXTURE_RTOL:.1e}); increase nodes"
         )
     return value
+
+
+def half_line_rule(nodes: int, scale: float):
+    """Gauss-Legendre nodes and weights on (0, inf), mapped from t in (0, 1) by x = scale t/(1-t)."""
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * (z + 1.0)
+    return scale * t / (1.0 - t), 0.5 * w * scale / (1.0 - t) ** 2
 
 
 def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
     """Numerical integral of the density over its full support.
 
-    Each half-line is compactified with x = a t/(1-t), t in (0, 1), and the
-    integral evaluated on a tensor Gauss-Legendre grid; folded coordinates
-    contribute both half-lines (the density is evaluated at the actual
-    negative points, the sign symmetry is not assumed).  Returns a value
-    that should be 1 for a correctly normalized spec.  Grids of more than
+    The positive orthant is integrated on a tensor grid of half_line_rule
+    nodes; the density depends on a folded coordinate through |x_i| only,
+    so each folded coordinate doubles that value.  Returns a value that
+    should be 1 for a correctly normalized spec.  Grids of more than
     MAX_QUADRATURE_POINTS points (nodes**dim) are refused before any allocation.
     """
     nodes = int(nodes)
@@ -303,25 +306,13 @@ def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
         raise ValueError(
             f"a {nodes}**{spec.dim} quadrature grid exceeds {MAX_QUADRATURE_POINTS} points; use fewer nodes"
         )
-    z, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (z + 1.0)
-    a = spec.scale
-    x1 = a * t / (1.0 - t)
-    w1 = 0.5 * w * a / (1.0 - t) ** 2
-    total = 0.0
-    n_f = len(spec.folded)
-    for signs_bits in range(2**n_f):
-        signs = np.ones(spec.dim)
-        for pos, i in enumerate(sorted(spec.folded)):
-            if signs_bits >> pos & 1:
-                signs[i - 1] = -1.0
-        # accumulate sum_i |x_i| on the tensor grid one axis at a time
-        s_grid = np.zeros((1,) * spec.dim)
-        w_grid = np.ones((1,) * spec.dim)
-        for axis in range(spec.dim):
-            shape = [1] * spec.dim
-            shape[axis] = nodes
-            s_grid = s_grid + np.abs(signs[axis] * x1).reshape(shape)
-            w_grid = w_grid * w1.reshape(shape)
-        total += float(np.sum(w_grid * _density_from_sum(spec, s_grid)))
-    return total
+    x1, w1 = half_line_rule(nodes, spec.scale)
+    # accumulate sum_i x_i on the tensor grid one axis at a time
+    s_grid = np.zeros((1,) * spec.dim)
+    w_grid = np.ones((1,) * spec.dim)
+    for axis in range(spec.dim):
+        shape = [1] * spec.dim
+        shape[axis] = nodes
+        s_grid = s_grid + x1.reshape(shape)
+        w_grid = w_grid * w1.reshape(shape)
+    return 2 ** len(spec.folded) * float(np.sum(w_grid * _density_from_sum(spec, s_grid)))

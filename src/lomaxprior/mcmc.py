@@ -27,8 +27,9 @@ __all__ = [
     "adapt_steps",
     "summarize",
     "effective_sample_size",
+    "write_csv",
     "chain_to_csv",
-    "read_draws_csv",
+    "read_csv",
     "summaries_to_json",
 ]
 
@@ -242,7 +243,12 @@ def summarize(draws, names: Sequence[str] | None = None) -> dict:
 
 
 def effective_sample_size(series) -> float:
-    """ESS from the initial-positive-sequence autocorrelation estimate."""
+    """ESS n / (-1 + 2 sum_k Gamma_k) by Geyer's initial positive sequence.
+
+    Gamma_k = rho_2k + rho_2k+1 sums disjoint pairs of autocorrelations and
+    stops before the first negative pair.  The estimate is capped at
+    n log10(n), as for antithetic chains the denominator can approach zero.
+    """
     x = np.asarray(series, dtype=float)
     n = x.size
     x = x - x.mean()
@@ -255,32 +261,34 @@ def effective_sample_size(series) -> float:
     acov = np.fft.irfft(f * np.conj(f), m)[:n].real / n
     rho = acov / var
     s = 0.0
-    for lag in range(1, n):
-        pair = rho[lag] + (rho[lag + 1] if lag + 1 < n else 0.0)
+    for k in range(n // 2):
+        pair = rho[2 * k] + rho[2 * k + 1]
         if pair < 0:
             break
         s += pair
-        if lag + 1 >= n:
-            break
-    return float(n / (1.0 + 2.0 * s))
+    return float(n / max(-1.0 + 2.0 * s, 1.0 / math.log10(n)))
+
+
+def write_csv(path, header, rows):
+    """Write a headed CSV: floats by repr, so they read back exactly, anything else by str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def read_csv(path):
+    """(column names, (rows, columns) float array) of a headed CSV such as write_csv writes."""
+    with open(path) as fh:
+        names = tuple(h.strip() for h in fh.readline().strip().split(","))
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return names, body
 
 
 def chain_to_csv(output: ChainOutput, path):
-    """One column per coordinate, full repr precision so values round-trip."""
+    """One column per coordinate; read_csv returns (names, draws)."""
     names = output.names or [f"x{j}" for j in range(output.draws.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in output.draws:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_draws_csv(path):
-    """Inverse of chain_to_csv: returns (names, draws)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        names = tuple(header.split(","))
-        draws = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return names, draws
+    write_csv(path, names, output.draws)
 
 
 def summaries_to_json(summaries: dict, path):

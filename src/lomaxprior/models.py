@@ -12,13 +12,15 @@ becomes 1/sigma^2 after the change of variables).
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from lomaxprior.lomax import LomaxSpec, normalizing_constant
-from lomaxprior.mcmc import PosteriorTarget
+from lomaxprior.mcmc import PosteriorTarget, read_csv
 
 __all__ = [
     "MODELS",
@@ -26,6 +28,8 @@ __all__ = [
     "DagumParams",
     "LinRegParams",
     "PriorSpec",
+    "integer_key",
+    "real_key",
     "weibull_logpdf",
     "weibull_loglik",
     "weibull_quantile_sample",
@@ -208,7 +212,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def weibull_mle(data, max_expand: int = 60) -> WeibullParams:
+MLE_BRACKET_STEPS = 60  # halvings plus doublings weibull_mle tries to bracket the profile root
+
+
+def weibull_mle(data) -> WeibullParams:
     """Profile-likelihood MLE.
 
     Solves the 1-d profile equation for the shape by bracketed root finding,
@@ -230,12 +237,12 @@ def weibull_mle(data, max_expand: int = 60) -> WeibullParams:
     while profile(hi) <= 0:
         hi *= 2.0
         it += 1
-        if it > max_expand:
+        if it > MLE_BRACKET_STEPS:
             raise RuntimeError("Weibull MLE: could not bracket the profile root")
     while profile(lo) >= 0:
         lo /= 2.0
         it += 1
-        if it > max_expand:
+        if it > MLE_BRACKET_STEPS:
             raise RuntimeError("Weibull MLE: could not bracket the profile root")
     be = _brentq(profile, lo, hi, xtol=1e-14, rtol=8.9e-16)
     th = float(np.mean(x**be)) ** (1.0 / be)
@@ -321,25 +328,33 @@ def least_squares_init(X, y) -> LinRegParams:
 # priors
 
 
-# each prior kind with the keys its scenario-file object may hold besides "kind"
-PRIOR_KINDS = {
-    "lomax": ("dim", "shape", "scale", "folded"),
-    "weibull-reference": (),
-    "vague-gamma-product": ("shapes", "rates"),
-    "vague-normal-sigma": ("c",),
-    "zellner-g": ("g",),
-}
+def integer_key(key: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``key`` unless it is an integral number (not a bool)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{key!r} must be a number (an integer), got {value!r}")
+    return int(value)
+
+
+def real_key(key: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``key`` unless it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """One of the competing priors, with its hyperparameters.
 
-    ``design`` is only read for the g prior: the covariate matrix (no
-    intercept column) whose XtX shapes the slope-coefficient covariance.
-    The intercept itself stays flat, the usual operational form of the
-    g prior.  ``linreg_target``, its only reader, uses the regression's own
-    covariates when it is None.
+    Build one through the constructor of its kind: each constructor's
+    keywords are the keys that kind's scenario-file object may hold (see
+    PRIOR_KINDS), and its defaults are the only ones.  ``design`` is only
+    read for the g prior: the covariate matrix (no intercept column) whose
+    XtX shapes the slope-coefficient covariance.  The intercept itself stays
+    flat, the usual operational form of the g prior.  ``linreg_target``, its
+    only reader, uses the regression's own covariates when it is None.
     """
 
     kind: str
@@ -363,32 +378,41 @@ class PriorSpec:
         if self.c <= 0 or self.g <= 0:
             raise ValueError("c and g must be > 0")
 
-    # convenience constructors ------------------------------------------------
+    # one constructor per kind ---------------------------------------------------
 
     @staticmethod
-    def lomax(dim: int, shape: float = 1.0, scale: float = 1.0, folded=frozenset()) -> "PriorSpec":
-        return PriorSpec(kind="lomax", lomax_spec=LomaxSpec(dim, shape, scale, frozenset(folded)))
+    def lomax(
+        dim: int, shape: float = LomaxSpec.shape, scale: float = LomaxSpec.scale, folded=()
+    ) -> "PriorSpec":
+        spec = LomaxSpec(
+            integer_key("dim", dim),
+            real_key("shape", shape),
+            real_key("scale", scale),
+            frozenset(integer_key("folded", i) for i in folded),
+        )
+        return PriorSpec(kind="lomax", lomax_spec=spec)
 
     @staticmethod
     def weibull_reference() -> "PriorSpec":
         return PriorSpec(kind="weibull-reference")
 
     @staticmethod
-    def vague_gamma(n_params: int = 3, shape: float = 0.01, rate: float = 0.01) -> "PriorSpec":
+    def vague_gamma(shapes=(0.01,) * 3, rates=(0.01,) * 3) -> "PriorSpec":
         return PriorSpec(
             kind="vague-gamma-product",
-            gamma_shapes=(shape,) * n_params,
-            gamma_rates=(rate,) * n_params,
+            gamma_shapes=tuple(real_key("shapes", s) for s in shapes),
+            gamma_rates=tuple(real_key("rates", r) for r in rates),
         )
 
+    # the class-body names c and g are the field defaults above
     @staticmethod
-    def vague_normal(c: float = 1e6) -> "PriorSpec":
-        return PriorSpec(kind="vague-normal-sigma", c=c)
+    def vague_normal(c: float = c) -> "PriorSpec":
+        return PriorSpec(kind="vague-normal-sigma", c=real_key("c", c))
 
     @staticmethod
-    def zellner(g: float = 500.0, design=None) -> "PriorSpec":
+    def zellner(g: float = g, design=None) -> "PriorSpec":
         d = None if design is None else np.atleast_2d(np.asarray(design, dtype=float))
-        return PriorSpec(kind="zellner-g", g=g, design=d)
+        return PriorSpec(kind="zellner-g", g=real_key("g", g), design=d)
 
     # scenario-file form -------------------------------------------------------
 
@@ -408,39 +432,35 @@ class PriorSpec:
 
     @staticmethod
     def from_dict(d) -> "PriorSpec":
-        """Inverse of ``to_dict``; an absent hyperparameter takes its constructor default."""
+        """Inverse of ``to_dict``: the kind's constructor called with the object's other keys."""
         if not isinstance(d, dict):
             raise ValueError(f"a prior must be a JSON object with a 'kind', got {d!r}")
         kind = d.get("kind")
         if kind not in tuple(PRIOR_KINDS):
             raise ValueError(f"unknown prior kind {kind!r}; use one of {tuple(PRIOR_KINDS)}")
-        keys = ("kind", *PRIOR_KINDS[kind])
-        unknown = [key for key in d if key not in keys]
+        build, keys = PRIOR_KINDS[kind]
+        unknown = [key for key in d if key != "kind" and key not in keys]
         if unknown:
-            raise ValueError(f"bad {kind!r} prior: unknown key {unknown[0]!r}; use {keys}")
+            raise ValueError(f"bad {kind!r} prior: unknown key {unknown[0]!r}; use {('kind', *keys)}")
+        params = inspect.signature(build).parameters
+        missing = [key for key in keys if params[key].default is inspect.Parameter.empty and key not in d]
+        if missing:
+            raise ValueError(f"bad {kind!r} prior: missing {missing[0]!r}")
         try:
-            if kind == "lomax":
-                if "dim" not in d:
-                    raise ValueError("missing 'dim'")
-                return PriorSpec.lomax(
-                    dim=int(d["dim"]),
-                    shape=float(d.get("shape", 1.0)),
-                    scale=float(d.get("scale", 1.0)),
-                    folded=frozenset(int(i) for i in d.get("folded", [])),
-                )
-            if kind == "weibull-reference":
-                return PriorSpec.weibull_reference()
-            if kind == "vague-gamma-product":
-                return PriorSpec(
-                    kind=kind,
-                    gamma_shapes=tuple(float(s) for s in d.get("shapes", [0.01] * 3)),
-                    gamma_rates=tuple(float(r) for r in d.get("rates", [0.01] * 3)),
-                )
-            if kind == "vague-normal-sigma":
-                return PriorSpec.vague_normal(c=float(d.get("c", 1e6)))
-            return PriorSpec.zellner(g=float(d.get("g", 500.0)))  # the last kind left
+            return build(**{key: d[key] for key in keys if key in d})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad {kind!r} prior: {exc}") from None
+
+
+# each prior kind: its constructor, and the keys its scenario-file object may
+# hold besides "kind", which are that constructor's keywords
+PRIOR_KINDS = {
+    "lomax": (PriorSpec.lomax, ("dim", "shape", "scale", "folded")),
+    "weibull-reference": (PriorSpec.weibull_reference, ()),
+    "vague-gamma-product": (PriorSpec.vague_gamma, ("shapes", "rates")),
+    "vague-normal-sigma": (PriorSpec.vague_normal, ("c",)),
+    "zellner-g": (PriorSpec.zellner, ("g",)),
+}
 
 
 def _gamma_log_norm(shape, rate) -> float:
@@ -460,10 +480,14 @@ def _gamma_logpdf(x, shape, rate, log_norm):
 # posterior targets (likelihood + prior composed for the sampler)
 
 
-def _lomax_of_dim(prior: PriorSpec, dim: int, model: str) -> LomaxSpec:
+def _lomax_of_dim(prior: PriorSpec, dim: int, model: str, folded=frozenset()) -> LomaxSpec:
+    """The prior's LomaxSpec, which must have the model's dimension and fold set."""
     spec = prior.lomax_spec
-    if spec.dim != dim:
-        raise ValueError(f"the {model} model needs a lomax prior of dimension {dim}, got {spec.dim}")
+    if spec.dim != dim or spec.folded != folded:
+        raise ValueError(
+            f"the {model} model needs a lomax prior of dimension {dim} folded on {sorted(folded)},"
+            f" got dimension {spec.dim} folded on {sorted(spec.folded)}"
+        )
     return spec
 
 
@@ -567,7 +591,7 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     kind = prior.kind
     if kind == "lomax":
         # one dimension per coefficient, intercept included, plus the variance
-        spec = _lomax_of_dim(prior, p + 2, "regression")
+        spec = _lomax_of_dim(prior, p + 2, "regression", frozenset(range(1, p + 2)))
         const = math.log(normalizing_constant(spec))
         expo = spec.shape + spec.dim
         a0 = spec.scale
@@ -663,25 +687,21 @@ def chain_inputs(model: str, prior: PriorSpec, data):
 
 def read_column_csv(path, column: str | None = None) -> np.ndarray:
     """Read one column of a headed CSV (the only column when unnamed)."""
-    with open(path) as fh:
-        header = [h.strip() for h in fh.readline().strip().split(",")]
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    header, body = read_csv(path)
     if column is None:
         if len(header) != 1:
-            raise ValueError(f"file has columns {header}; pick one")
+            raise ValueError(f"file has columns {list(header)}; pick one")
         return body[:, 0]
     if column not in header:
-        raise ValueError(f"column {column!r} not among {header}")
+        raise ValueError(f"column {column!r} not among {list(header)}")
     return body[:, header.index(column)]
 
 
 def read_design_csv(path, response: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a design matrix CSV; the named column is the response."""
-    with open(path) as fh:
-        header = [h.strip() for h in fh.readline().strip().split(",")]
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    header, body = read_csv(path)
     if response not in header:
-        raise ValueError(f"response column {response!r} not among {header}")
+        raise ValueError(f"response column {response!r} not among {list(header)}")
     idx = header.index(response)
     y = body[:, idx]
     X = np.delete(body, idx, axis=1)

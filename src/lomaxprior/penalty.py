@@ -19,13 +19,11 @@ stationary point whose objective never exceeds the value at zero).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PenaltyProblem1D",
     "PenaltyExperimentConfig",
     "log_penalty_estimate_1d",
     "lasso_estimate_1d",
@@ -34,16 +32,6 @@ __all__ = [
     "logpenalty_objective",
     "coordinate_descent_logpenalty",
 ]
-
-
-@dataclass(frozen=True)
-class PenaltyProblem1D:
-    z: float
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lambda must be > 0")
 
 
 @dataclass(frozen=True)
@@ -61,37 +49,14 @@ class PenaltyExperimentConfig:
             raise ValueError("need n >= 2 and reps >= 1")
 
 
-def _log_penalty_scalar(z: float, lam: float) -> float:
-    if abs(z) <= lam:
-        return 0.0
-    if z > 0:
-        return (z - 1.0) / 2.0 + math.sqrt(z - lam + (z - 1.0) ** 2 / 4.0)
-    return (1.0 + z) / 2.0 - math.sqrt(-lam - z + (1.0 + z) ** 2 / 4.0)
+def log_penalty_estimate_1d(z, lam: float):
+    """Threshold at |z| <= lambda, else the stationary point on z's side.
 
-
-def log_penalty_estimate_1d(problem: PenaltyProblem1D) -> float:
-    """Threshold at |z| <= lambda, else the positive-branch stationary point."""
-    return _log_penalty_scalar(problem.z, problem.lam)
-
-
-def lasso_estimate_1d(problem: PenaltyProblem1D) -> float:
-    """Soft threshold: 0 for |z| <= lambda, else z shrunk by lambda."""
-    z, lam = problem.z, problem.lam
-    if abs(z) <= lam:
-        return 0.0
-    return z - math.copysign(lam, z)
-
-
-def estimator_gap(z: float, lam: float) -> float:
-    """log-penalty estimate minus z, for z > lambda; tends to 0 as z grows."""
+    Elementwise in z: a float for a float, an array for an array.
+    """
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    if z <= lam:
-        raise ValueError("estimator_gap requires z > lambda")
-    return _log_penalty_scalar(z, lam) - z
-
-
-def _log_penalty_vec(z: np.ndarray, lam: float) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     pos = z > lam
     neg = z < -lam
@@ -99,11 +64,23 @@ def _log_penalty_vec(z: np.ndarray, lam: float) -> np.ndarray:
     out[pos] = (zp - 1.0) / 2.0 + np.sqrt(zp - lam + (zp - 1.0) ** 2 / 4.0)
     zn = z[neg]
     out[neg] = (1.0 + zn) / 2.0 - np.sqrt(-lam - zn + (1.0 + zn) ** 2 / 4.0)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-def _lasso_vec(z: np.ndarray, lam: float) -> np.ndarray:
-    return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
+def lasso_estimate_1d(z, lam: float):
+    """Soft threshold: 0 for |z| <= lambda, else z shrunk by lambda; elementwise as above."""
+    if not lam > 0:
+        raise ValueError("lambda must be > 0")
+    z = np.asarray(z, dtype=float)
+    out = np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def estimator_gap(z: float, lam: float) -> float:
+    """log-penalty estimate minus z, for z > lambda; tends to 0 as z grows."""
+    if z <= lam:
+        raise ValueError("estimator_gap requires z > lambda")
+    return log_penalty_estimate_1d(z, lam) - z
 
 
 def mse_experiment(config: PenaltyExperimentConfig) -> tuple[float, float]:
@@ -115,8 +92,8 @@ def mse_experiment(config: PenaltyExperimentConfig) -> tuple[float, float]:
     rng = np.random.default_rng(config.seed)
     eps = rng.standard_normal((config.reps, config.n))
     z = config.beta_true + eps.mean(axis=1)
-    err_l = _lasso_vec(z, config.lam) - config.beta_true
-    err_n = _log_penalty_vec(z, config.lam) - config.beta_true
+    err_l = lasso_estimate_1d(z, config.lam) - config.beta_true
+    err_n = log_penalty_estimate_1d(z, config.lam) - config.beta_true
     return float(np.mean(err_l**2)), float(np.mean(err_n**2))
 
 
@@ -160,7 +137,7 @@ def coordinate_descent_logpenalty(
         delta = 0.0
         for j in range(d):
             zj = float(X[:, j] @ r) + beta[j]
-            new = _log_penalty_scalar(zj, lam)
+            new = log_penalty_estimate_1d(zj, lam)
             if new != beta[j]:
                 r -= (new - beta[j]) * X[:, j]
                 delta = max(delta, abs(new - beta[j]))

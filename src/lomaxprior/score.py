@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec, log_density
+from lomaxprior.lomax import LomaxSpec, density, half_line_rule
 
 __all__ = [
     "AlphaSpec",
@@ -42,6 +43,12 @@ __all__ = [
     "default_grid",
     "bregman_divergence",
 ]
+
+SCORE_STEP = 1e-4  # relative central-difference step of score's outer derivatives
+EULER_STEP = 1e-5  # relative central-difference step of euler_identity_residual
+HESSIAN_STEP = 1e-3  # relative central-difference step of finite_difference_hessian
+GRID_SEED = 12345  # seed of default_grid's points
+BREGMAN_NODES = 48  # half_line_rule nodes per axis of bregman_divergence
 
 
 @dataclass(frozen=True)
@@ -66,29 +73,13 @@ class AlphaSpec:
 
 @dataclass
 class DensityField:
-    """A positive density on the open positive orthant with first partials.
-
-    ``grad`` may be None, in which case gradients fall back to central
-    differences with relative step ``fd_step``.
-    """
+    """A positive density on the open positive orthant with its first partials."""
 
     density: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-6
+    grad: Callable[[np.ndarray], np.ndarray]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for i in range(x.size):
-            h = self.fd_step * max(1.0, abs(x[i]))
-            h = min(h, 0.5 * x[i]) if x[i] > 0 else h
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            out[i] = (self.density(xp) - self.density(xm)) / (2 * h)
-        return out
+        return np.asarray(self.grad(x), dtype=float)
 
 
 def lomax_field(spec: LomaxSpec) -> DensityField:
@@ -97,24 +88,20 @@ def lomax_field(spec: LomaxSpec) -> DensityField:
         raise ValueError("score checks operate on the positive orthant only")
     m = spec.shape + spec.dim
 
-    def dens(x):
-        return math.exp(log_density(spec, x))
-
     def grad(x):
-        q = dens(x)
-        return np.full(spec.dim, -m * q / (spec.scale + float(np.sum(x))))
+        return np.full(spec.dim, -m * density(spec, x) / (spec.scale + float(np.sum(x))))
 
-    return DensityField(density=dens, grad=grad)
+    return DensityField(density=partial(density, spec), grad=grad)
 
 
-def exponential_field(dim: int, rate: float = 1.0) -> DensityField:
-    """Product of independent Exp(rate) densities; a non-Lomax counterexample."""
+def exponential_field(dim: int) -> DensityField:
+    """Product of independent Exp(1) densities; a non-Lomax counterexample."""
 
     def dens(x):
-        return rate**dim * math.exp(-rate * float(np.sum(x)))
+        return math.exp(-float(np.sum(x)))
 
     def grad(x):
-        return np.full(dim, -rate * dens(x))
+        return np.full(dim, -dens(x))
 
     return DensityField(density=dens, grad=grad)
 
@@ -149,11 +136,11 @@ def alpha_hessian_det(spec: AlphaSpec, u) -> float:
     return float(m**spec.dim * (m + 1) ** spec.dim * np.prod(u ** (-(m + 2))))
 
 
-def finite_difference_hessian(f, x, h: float = 1e-3) -> np.ndarray:
+def finite_difference_hessian(f, x) -> np.ndarray:
     """Dense central-difference Hessian of a scalar function."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    steps = h * np.maximum(1.0, np.abs(x))
+    steps = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
     out = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
@@ -186,15 +173,15 @@ def phi_partials(spec: AlphaSpec, q: float, grad):
     return dq, g
 
 
-def euler_identity_residual(spec: AlphaSpec, q: float, grad, h: float = 1e-5) -> float:
+def euler_identity_residual(spec: AlphaSpec, q: float, grad) -> float:
     """phi - (q dphi/dq + sum g_i dphi/dg_i) with partials by central differences."""
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     f0 = phi(spec, q, grad)
-    hq = min(h * max(1.0, abs(q)), 0.5 * q)
+    hq = min(EULER_STEP * max(1.0, abs(q)), 0.5 * q)
     dq = (phi(spec, q + hq, grad) - phi(spec, q - hq, grad)) / (2 * hq)
     total = q * dq
     for i in range(grad.size):
-        hi = min(h * max(1.0, abs(grad[i])), 0.5 * abs(grad[i]))
+        hi = min(EULER_STEP * max(1.0, abs(grad[i])), 0.5 * abs(grad[i]))
         gp, gm = grad.copy(), grad.copy()
         gp[i] += hi
         gm[i] -= hi
@@ -213,18 +200,12 @@ def _partial_phi_component(spec: AlphaSpec, field: DensityField, x: np.ndarray, 
     return -spec.exponent * u[i] ** (-(spec.exponent + 1))
 
 
-def score(
-    spec: AlphaSpec,
-    field: DensityField,
-    x,
-    h: float = 1e-4,
-    refine: bool = True,
-) -> float:
+def score(spec: AlphaSpec, field: DensityField, x) -> float:
     """Bregman score of the field at x.
 
     The outer total derivatives d/dx_i [dphi/dg_i] use central differences
-    (with one Richardson refinement step by default); the inner partials of
-    phi are analytic.
+    with one Richardson extrapolation step; the inner partials of phi are
+    analytic.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (spec.dim,):
@@ -247,28 +228,25 @@ def score(
         ) / (2 * step)
 
     for i in range(spec.dim):
-        hi = min(h * max(1.0, x[i]), 0.5 * x[i])
+        hi = min(SCORE_STEP * max(1.0, x[i]), 0.5 * x[i])
         d1 = central(i, hi)
-        if refine:
-            d2 = central(i, hi / 2)
-            total += (4.0 * d2 - d1) / 3.0
-        else:
-            total += d1
+        d2 = central(i, hi / 2)
+        total += (4.0 * d2 - d1) / 3.0
     return total
 
 
-def default_grid(dim: int, n_points: int = 20, seed: int = 12345) -> np.ndarray:
+def default_grid(dim: int, n_points: int = 20) -> np.ndarray:
     """Deterministic evaluation grid in the positive orthant."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRID_SEED)
     return 0.3 + 3.0 * rng.random((n_points, dim))
 
 
-def score_grid(spec: AlphaSpec, field: DensityField, points=None, h: float = 1e-4) -> np.ndarray:
+def score_grid(spec: AlphaSpec, field: DensityField, points=None) -> np.ndarray:
     """Score evaluated at each row of ``points`` (default grid when omitted)."""
     if points is None:
         points = default_grid(spec.dim)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.array([score(spec, field, row, h=h) for row in points])
+    return np.array([score(spec, field, row) for row in points])
 
 
 def _bregman_integrand(spec, field_p, field_q, x):
@@ -287,24 +265,15 @@ def _bregman_integrand(spec, field_p, field_q, x):
     )
 
 
-def bregman_divergence(
-    spec: AlphaSpec,
-    field_p: DensityField,
-    field_q: DensityField,
-    nodes: int = 48,
-    scale: float = 1.0,
-) -> float:
+def bregman_divergence(spec: AlphaSpec, field_p: DensityField, field_q: DensityField) -> float:
     """Quadrature of the pointwise Bregman gap over the positive orthant (d <= 2).
 
-    Each axis is compactified with x = scale * t/(1-t); intended as a small
-    diagnostic utility, not a tight numerical contract.
+    Each axis takes BREGMAN_NODES nodes of half_line_rule; intended as a
+    small diagnostic utility, not a tight numerical contract.
     """
     if spec.dim > 2:
         raise ValueError("divergence quadrature supports dim <= 2 only")
-    z, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (z + 1.0)
-    xs = scale * t / (1.0 - t)
-    ws = 0.5 * w * scale / (1.0 - t) ** 2
+    xs, ws = half_line_rule(BREGMAN_NODES, 1.0)
     total = 0.0
     if spec.dim == 1:
         for xi, wi in zip(xs, ws):

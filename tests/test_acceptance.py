@@ -208,7 +208,7 @@ def test_criterion_08_dagum_replication():
         replicates=100,
         priors=(
             md.PriorSpec.lomax(3),
-            md.PriorSpec.vague_gamma(shape=0.1, rate=0.1),
+            md.PriorSpec.vague_gamma(shapes=(0.1,) * 3, rates=(0.1,) * 3),
         ),
         preset="desk",
         seed=801,

@@ -94,7 +94,7 @@ def test_fit_builtin_weibull(tmp_path):
     summaries = json.loads((out / "summaries.json").read_text())
     assert set(summaries) == {"scale", "shape"}
     # round trip: re-summarizing the draws reproduces the JSON exactly
-    names, draws = mcmc.read_draws_csv(out / "draws.csv")
+    names, draws = mcmc.read_csv(out / "draws.csv")
     assert mcmc.summarize(draws, names) == summaries
 
 
@@ -218,10 +218,24 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
         ({"preset": [200, 100, 10]}, "at least 100 retained draws"),
         ({"covariate-sd": 1.0}, "unknown key 'covariate-sd'"),
         ({"priors": [{"kind": "lomax", "dim": 2, "shpae": 3.0}]}, "unknown key 'shpae'"),
+        ({"n": 30.7}, "scenario 'n' must be a number (an integer), got 30.7"),
+        ({"replicates": 2.5}, "scenario 'replicates' must be a number (an integer), got 2.5"),
+        ({"replicates": True}, "scenario 'replicates' must be a number (an integer), got True"),
+        ({"seed": 1.9}, "scenario 'seed' must be a number (an integer), got 1.9"),
+        ({"covariate_sd": "3"}, "scenario 'covariate_sd' must be a number, got '3'"),
+        ({"priors": [{"kind": "lomax", "dim": 2.5}]}, "bad 'lomax' prior: 'dim' must be a number (an integer)"),
+        ({"priors": [{"kind": "lomax", "dim": 2, "folded": [1.7]}]}, "'folded' must be a number (an integer)"),
+        ({"priors": [{"kind": "lomax", "dim": 2, "shape": "3"}]}, "'shape' must be a number, got '3'"),
+        (
+            {"priors": [{"kind": "weibull-reference"}, {"kind": "lomax", "dim": 2, "folded": [1, 2]}]},
+            "the Weibull model needs a lomax prior of dimension 2 folded on [], got dimension 2 folded on [1, 2]",
+        ),
     ],
     ids=[
         "n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings",
-        "preset-few-draws", "scenario-key-misspelt", "prior-key-misspelt",
+        "preset-few-draws", "scenario-key-misspelt", "prior-key-misspelt", "n-fraction", "replicates-fraction",
+        "replicates-bool", "seed-fraction", "covariate-sd-string", "dim-fraction", "folded-fraction",
+        "shape-string", "folded-weibull",
     ],
 )
 def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):

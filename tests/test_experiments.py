@@ -210,9 +210,10 @@ def test_run_scenario_dagum_and_linreg_smoke():
         assert row.rel_rmse == pytest.approx(0.0, abs=0.6)
 
 
-def test_metrics_csv_and_text():
+def test_metrics_csv_and_text(tmp_path):
     tab = ex.run_scenario(tiny_weibull_spec(replicates=2))
-    csv = tab.to_csv()
+    tab.to_csv(tmp_path / "metrics.csv")
+    csv = (tmp_path / "metrics.csv").read_text()
     assert csv.splitlines()[0] == "scenario,prior,parameter,rel_rmse,coverage,mean_width"
     assert len(csv.splitlines()) == 5
     assert "np.float" not in csv  # plain repr floats only

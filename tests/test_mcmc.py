@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from lomaxprior import mcmc
 from lomaxprior.lomax import univariate_cdf
@@ -206,6 +207,16 @@ def test_effective_sample_size():
     assert mcmc.effective_sample_size(np.ones(500)) == 500.0
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+def test_effective_sample_size_ar1_theory(rho):
+    # an AR(1) series has ESS n (1 - rho) / (1 + rho)
+    n = 200_000
+    e = np.random.default_rng(9).standard_normal(n)
+    ar = lfilter([1.0], [1.0, -rho], e)
+    want = n * (1.0 - rho) / (1.0 + rho)
+    assert mcmc.effective_sample_size(ar) == pytest.approx(want, rel=0.1)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 
@@ -215,7 +226,7 @@ def test_chain_csv_round_trip(tmp_path):
     out = mcmc.run_chain(gaussian_target(), config)
     path = tmp_path / "draws.csv"
     mcmc.chain_to_csv(out, path)
-    names, draws = mcmc.read_draws_csv(path)
+    names, draws = mcmc.read_csv(path)
     assert names == out.names
     assert np.array_equal(draws, out.draws)
     # re-summarizing read-back draws reproduces the summaries exactly

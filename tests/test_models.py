@@ -209,7 +209,7 @@ def test_lomax_prior_value():
 
 
 def test_vague_gamma_prior_matches_scipy():
-    prior = md.PriorSpec.vague_gamma(shape=0.01, rate=0.01)
+    prior = md.PriorSpec.vague_gamma(shapes=(0.01,) * 3, rates=(0.01,) * 3)
     pt = [1.0, 2.0, 0.5]
     data = np.array([2.0])
     got = prior_term(md.dagum_target(data, prior), pt, md.dagum_loglik(md.DagumParams(*pt), data))
@@ -278,7 +278,7 @@ def test_prior_validation():
     [
         md.PriorSpec.lomax(4, shape=2.5, scale=0.5, folded={1, 2, 3}),
         md.PriorSpec.weibull_reference(),
-        md.PriorSpec.vague_gamma(shape=0.1, rate=0.2),
+        md.PriorSpec.vague_gamma(shapes=(0.1,) * 3, rates=(0.2,) * 3),
         md.PriorSpec.vague_normal(c=10.0),
         md.PriorSpec.zellner(g=50.0),
     ],
@@ -312,6 +312,14 @@ def test_prior_from_dict_defaults():
         ({"kind": "vague-normal-sigma", "g": 500.0}, "unknown key 'g'"),
         ({"kind": "zellner-g", "design": [[1.0]]}, "unknown key 'design'"),
         ({"kind": ["lomax"], "dim": 2}, "unknown prior kind"),
+        ({"kind": "lomax", "dim": 2.5}, "bad 'lomax' prior: 'dim' must be a number \\(an integer\\), got 2.5"),
+        ({"kind": "lomax", "dim": True}, "'dim' must be a number \\(an integer\\), got True"),
+        ({"kind": "lomax", "dim": "2"}, "'dim' must be a number \\(an integer\\)"),
+        ({"kind": "lomax", "dim": 2, "folded": [1.7]}, "'folded' must be a number \\(an integer\\), got 1.7"),
+        ({"kind": "lomax", "dim": 2, "shape": "3"}, "'shape' must be a number, got '3'"),
+        ({"kind": "lomax", "dim": 2, "scale": False}, "'scale' must be a number, got False"),
+        ({"kind": "vague-gamma-product", "rates": [0.1, True, 0.1]}, "'rates' must be a number"),
+        ({"kind": "vague-normal-sigma", "c": "1e6"}, "'c' must be a number"),
     ],
 )
 def test_prior_from_dict_rejects(d, match):
@@ -404,15 +412,39 @@ def test_target_lomax_dimension_must_match_model():
     for dim in (2, 4, 7):
         with pytest.raises(ValueError, match="dimension 3"):
             md.dagum_target(data, md.PriorSpec.lomax(dim))
+    # the fold set must match too: none for Weibull and Dagum, every coefficient for linreg
+    with pytest.raises(ValueError, match=r"folded on \[\], got dimension 2 folded on \[1, 2\]"):
+        md.weibull_target(data, md.PriorSpec.lomax(2, folded={1, 2}))
+    with pytest.raises(ValueError, match=r"folded on \[\], got dimension 3 folded on \[2\]"):
+        md.dagum_target(data, md.PriorSpec.lomax(3, folded={2}))
+    X, y = np.ones((5, 2)) + np.eye(5, 2), np.ones(5)
+    for folded in ((), (4,), (1, 2, 3, 4), (1, 2)):
+        with pytest.raises(ValueError, match=r"dimension 4 folded on \[1, 2, 3\]"):
+            md.linreg_target(X, y, md.PriorSpec.lomax(4, folded=folded))
     md.weibull_target(data, md.PriorSpec.lomax(2, shape=3.0))
     md.dagum_target(data, md.PriorSpec.lomax(3))
+    md.linreg_target(X, y, md.PriorSpec.lomax(4, folded={1, 2, 3}))
+
+
+def test_prior_constructors_check_key_types():
+    # Python callers meet the same rule as scenario files
+    assert md.PriorSpec.lomax(2.0, shape=3) == md.PriorSpec.lomax(2, shape=3.0)
+    assert md.PriorSpec.lomax(np.int64(3), folded=[np.int64(1)]).lomax_spec.folded == {1}
+    for bad in (
+        lambda: md.PriorSpec.lomax(2.5),
+        lambda: md.PriorSpec.lomax(2, folded=[True]),
+        lambda: md.PriorSpec.vague_gamma(shapes=("0.1",) * 3),
+        lambda: md.PriorSpec.zellner(g=None),
+    ):
+        with pytest.raises(ValueError, match="must be a number"):
+            bad()
 
 
 def test_dagum_gamma_prior_needs_three_components():
     data = np.array([0.5, 1.0, 2.0])
     for n_params in (2, 4):
         with pytest.raises(ValueError, match="3 components"):
-            md.dagum_target(data, md.PriorSpec.vague_gamma(n_params=n_params))
+            md.dagum_target(data, md.PriorSpec.vague_gamma(shapes=(0.01,) * n_params, rates=(0.01,) * n_params))
 
 
 def test_inits():

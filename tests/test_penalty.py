@@ -7,30 +7,30 @@ import pytest
 
 from lomaxprior import penalty as pn
 
-P = pn.PenaltyProblem1D
-
-
 def objective_1d(beta, z, lam):
     return beta * beta - 2.0 * beta * z + 2.0 * lam * math.log(1.0 + abs(beta))
 
 
 def test_log_penalty_values():
-    assert pn.log_penalty_estimate_1d(P(0.3, 0.5)) == 0.0
-    got = pn.log_penalty_estimate_1d(P(2.0, 0.5))
+    assert pn.log_penalty_estimate_1d(0.3, 0.5) == 0.0
+    got = pn.log_penalty_estimate_1d(2.0, 0.5)
     assert got == pytest.approx(0.5 + math.sqrt(1.75), rel=1e-14)
     assert got == pytest.approx(1.822876, abs=1e-6)
-    assert pn.log_penalty_estimate_1d(P(-2.0, 0.5)) == pytest.approx(-got, rel=1e-14)
+    assert pn.log_penalty_estimate_1d(-2.0, 0.5) == pytest.approx(-got, rel=1e-14)
 
 
 def test_lasso_values():
-    assert pn.lasso_estimate_1d(P(2.0, 0.5)) == 1.5
-    assert pn.lasso_estimate_1d(P(-0.4, 0.5)) == 0.0
-    assert pn.lasso_estimate_1d(P(-2.0, 0.5)) == -1.5
+    assert pn.lasso_estimate_1d(2.0, 0.5) == 1.5
+    assert pn.lasso_estimate_1d(-0.4, 0.5) == 0.0
+    assert pn.lasso_estimate_1d(-2.0, 0.5) == -1.5
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        P(1.0, 0.0)
+    for rule in (pn.log_penalty_estimate_1d, pn.lasso_estimate_1d):
+        with pytest.raises(ValueError):
+            rule(1.0, 0.0)
+        with pytest.raises(ValueError):
+            rule(np.ones(3), -0.5)
     with pytest.raises(ValueError):
         pn.PenaltyExperimentConfig(1.0, -0.5)
 
@@ -41,17 +41,27 @@ def test_threshold_equivalence():
     for _ in range(200):
         lam = 0.05 + rng.random()
         z = rng.normal(0, 1.5)
-        lp = pn.log_penalty_estimate_1d(P(z, lam))
-        la = pn.lasso_estimate_1d(P(z, lam))
+        lp = pn.log_penalty_estimate_1d(z, lam)
+        la = pn.lasso_estimate_1d(z, lam)
         if abs(z) <= lam:
             assert lp == 0.0 and la == 0.0
         else:
             assert lp != 0.0 and la != 0.0
 
 
+def test_array_input_matches_scalar_input():
+    rng = np.random.default_rng(24)
+    z = rng.normal(0, 2.0, 500)
+    for rule in (pn.log_penalty_estimate_1d, pn.lasso_estimate_1d):
+        got = rule(z, 0.7)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        assert isinstance(rule(float(z[0]), 0.7), float)
+        assert got.tolist() == [rule(float(v), 0.7) for v in z]
+
+
 def test_boundary_returns_zero():
-    assert pn.log_penalty_estimate_1d(P(0.5, 0.5)) == 0.0
-    assert pn.log_penalty_estimate_1d(P(-0.5, 0.5)) == 0.0
+    assert pn.log_penalty_estimate_1d(0.5, 0.5) == 0.0
+    assert pn.log_penalty_estimate_1d(-0.5, 0.5) == 0.0
 
 
 def test_stationarity():
@@ -62,7 +72,7 @@ def test_stationarity():
         z = rng.normal(0, 2.0)
         if abs(z) <= lam:
             continue
-        beta = pn.log_penalty_estimate_1d(P(z, lam))
+        beta = pn.log_penalty_estimate_1d(z, lam)
         deriv = 2 * beta - 2 * z + 2 * lam * math.copysign(1.0, beta) / (1 + abs(beta))
         assert abs(deriv) < 1e-10
         checked += 1
@@ -73,11 +83,11 @@ def test_sign_symmetry():
     for _ in range(100):
         lam = 0.05 + rng.random()
         z = rng.normal(0, 2.0)
-        assert pn.log_penalty_estimate_1d(P(-z, lam)) == pytest.approx(
-            -pn.log_penalty_estimate_1d(P(z, lam)), abs=1e-15
+        assert pn.log_penalty_estimate_1d(-z, lam) == pytest.approx(
+            -pn.log_penalty_estimate_1d(z, lam), abs=1e-15
         )
-        assert pn.lasso_estimate_1d(P(-z, lam)) == pytest.approx(
-            -pn.lasso_estimate_1d(P(z, lam)), abs=1e-15
+        assert pn.lasso_estimate_1d(-z, lam) == pytest.approx(
+            -pn.lasso_estimate_1d(z, lam), abs=1e-15
         )
 
 
@@ -87,11 +97,11 @@ def test_ordering():
     for _ in range(100):
         lam = 0.05 + 0.95 * rng.random()
         z = lam + 0.01 + 3.0 * rng.random()
-        la = pn.lasso_estimate_1d(P(z, lam))
-        lp = pn.log_penalty_estimate_1d(P(z, lam))
+        la = pn.lasso_estimate_1d(z, lam)
+        lp = pn.log_penalty_estimate_1d(z, lam)
         assert 0.0 <= la < lp < z
         assert -z < -lp < -la <= 0.0
-        assert pn.log_penalty_estimate_1d(P(-z, lam)) == pytest.approx(-lp)
+        assert pn.log_penalty_estimate_1d(-z, lam) == pytest.approx(-lp)
 
 
 def test_objective_never_worse_than_zero():
@@ -99,7 +109,7 @@ def test_objective_never_worse_than_zero():
     for _ in range(100):
         lam = 0.05 + 0.95 * rng.random()
         z = rng.normal(0, 2.0)
-        beta = pn.log_penalty_estimate_1d(P(z, lam))
+        beta = pn.log_penalty_estimate_1d(z, lam)
         assert objective_1d(beta, z, lam) <= objective_1d(0.0, z, lam) + 1e-12
 
 
@@ -115,7 +125,7 @@ def test_grid_oracle_agreement():
         grid = np.arange(-2 * abs(z), 2 * abs(z) + 1e-4, 1e-4)
         vals = grid**2 - 2 * grid * z + 2 * lam * np.log1p(np.abs(grid))
         best = grid[np.argmin(vals)]
-        assert pn.log_penalty_estimate_1d(P(z, lam)) == pytest.approx(best, abs=2e-4)
+        assert pn.log_penalty_estimate_1d(z, lam) == pytest.approx(best, abs=2e-4)
 
 
 def test_estimator_gap():
@@ -187,7 +197,7 @@ def test_cd_orthonormal_separates():
     y = rng.normal(0, 2.0, 30)
     lam = 0.7
     got = pn.coordinate_descent_logpenalty(Q, y, lam)
-    want = [pn.log_penalty_estimate_1d(P(float(Q[:, j] @ y), lam)) for j in range(3)]
+    want = [pn.log_penalty_estimate_1d(float(Q[:, j] @ y), lam) for j in range(3)]
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -197,7 +207,7 @@ def test_cd_single_covariate_reduces():
     y = 2.0 * x[:, 0] + 0.3 * rng.normal(size=40)
     lam = 0.5
     got = pn.coordinate_descent_logpenalty(x, y, lam)
-    want = pn.log_penalty_estimate_1d(P(float(x[:, 0] @ y), lam))
+    want = pn.log_penalty_estimate_1d(float(x[:, 0] @ y), lam)
     assert got[0] == pytest.approx(want, abs=1e-8)
 
 

@@ -166,15 +166,6 @@ def test_score_underflow_error():
         sc.score(sc.AlphaSpec(1, 2), dead, [1.0, 1.0])
 
 
-def test_fd_gradient_fallback():
-    analytic = sc.exponential_field(2)
-    fd_only = sc.DensityField(density=analytic.density)
-    x = np.array([0.7, 1.3])
-    np.testing.assert_allclose(fd_only.gradient(x), analytic.gradient(x), rtol=1e-7)
-    s = sc.score(sc.AlphaSpec(1, 2), fd_only, [1.0, 1.0])
-    assert s == pytest.approx(8.0, abs=1e-3)
-
-
 def test_lomax_field_rejects_folded():
     with pytest.raises(ValueError):
         sc.lomax_field(LomaxSpec(2, folded=frozenset({1})))
