@@ -36,6 +36,7 @@ PRIOR_ALIASES = {
     "zellner": "zellner-g",
 }
 
+MAX_GRID_POINTS = 10**6  # prior --grid cap: N**dim rows, one density call each
 SCORE_PASS_TOL = 1e-5
 SCORE_SEPARATION_TOL = 1e-2
 
@@ -76,11 +77,15 @@ def _outdir(args) -> Path:
 def cmd_prior(args) -> int:
     folded = frozenset(int(t) for t in args.folded.split(",") if t.strip()) if args.folded else frozenset()
     spec = lx.LomaxSpec(dim=args.dim, shape=args.k, scale=args.a, folded=folded)
+    if args.grid and spec.dim > 2:
+        raise ValueError("density grids are emitted for dim <= 2 only")
+    if args.grid**spec.dim > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a {args.grid}**{spec.dim} density grid exceeds {MAX_GRID_POINTS} points; use a smaller --grid"
+        )
     out = _outdir(args)
     wrote = []
     if args.grid:
-        if spec.dim > 2:
-            raise ValueError("density grids are emitted for dim <= 2 only")
         xmax = args.xmax or lx.univariate_quantile(spec.shape, spec.scale, 0.95)
         axes = []
         for i in range(spec.dim):
@@ -88,15 +93,11 @@ def cmd_prior(args) -> int:
                 axes.append(np.linspace(-xmax, xmax, args.grid))
             else:
                 axes.append(np.linspace(xmax / args.grid, xmax, args.grid))
-        rows = []
         if spec.dim == 1:
-            for x in axes[0]:
-                rows.append((float(x), lx.density(spec, [x])))
+            rows = ((float(x), lx.density(spec, [x])) for x in axes[0])
             header = ["x", "density"]
         else:
-            for x in axes[0]:
-                for y in axes[1]:
-                    rows.append((float(x), float(y), lx.density(spec, [x, y])))
+            rows = ((float(x), float(y), lx.density(spec, [x, y])) for x in axes[0] for y in axes[1])
             header = ["x", "y", "density"]
         path = out / "prior_grid.csv"
         mcmc.write_csv(path, header, rows)

@@ -62,7 +62,9 @@ class PosteriorTarget:
     """Log posterior plus per-coordinate support descriptors and names.
 
     ``log_post`` must be finite on the interior of the support and return
-    -inf outside it.
+    -inf outside it.  It may cache what it computes, but must return the
+    same value for the same ``v``: ``run_chain`` changes ``v`` in place
+    between calls.
     """
 
     log_post: Callable[[np.ndarray], float]
@@ -103,8 +105,8 @@ class ChainConfig:
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
         self.steps = np.asarray(self.steps, dtype=float)
-        if self.burn_in >= self.iterations:
-            raise ValueError("burn_in must be smaller than iterations")
+        if not 0 <= self.burn_in < self.iterations:
+            raise ValueError("burn_in must be >= 0 and smaller than iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
         if np.any(self.steps <= 0):

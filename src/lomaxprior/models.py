@@ -15,6 +15,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,6 +481,35 @@ def _gamma_logpdf(x, shape, rate, log_norm):
 # posterior targets (likelihood + prior composed for the sampler)
 
 
+def _recent(compute, size: int):
+    """``compute`` remembered for the last ``size`` keys looked up.
+
+    ``get(key, *args)`` returns ``compute(*args)``, from the table when
+    ``key`` is one of the ``size`` most recently used keys; the least
+    recently used key is dropped first.  ``key`` must fix the result bit for
+    bit: it is the exact bytes of the coordinates ``compute`` reads, since
+    ``0.0 == -0.0``.  A value is a float or a tuple of floats, never a view
+    of the caller's vector.  Between two lookups of the sampler's current
+    state, a Gibbs sweep over ``d`` coordinates looks up at most ``d - 1``
+    other keys, so the targets keep ``size = d``.
+    """
+    table = {}
+
+    def get(key, *args):
+        value = table.pop(key, None)  # no value is None
+        if value is None:
+            value = compute(*args)
+            if len(table) == size:
+                del table[next(iter(table))]
+        table[key] = value
+        return value
+
+    return get
+
+
+_pack2 = struct.Struct("2d").pack  # the float64 bytes of two scalars
+
+
 def _lomax_of_dim(prior: PriorSpec, dim: int, model: str, folded=frozenset()) -> LomaxSpec:
     """The prior's LomaxSpec, which must have the model's dimension and fold set."""
     spec = prior.lomax_spec
@@ -558,25 +588,33 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     else:
         raise ValueError(f"prior {prior.kind!r} is not defined for the Dagum model")
 
+    names = ("a", "b", "p")
     w = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
     softplus = np.empty_like(logx)
+
+    def sums(a, b):
+        np.subtract(logx, math.log(b), out=w)
+        np.multiply(w, a, out=w)
+        np.logaddexp(0.0, w, out=softplus)
+        return float(np.add.reduce(w)), float(np.add.reduce(softplus))
+
+    # a p move keeps (a, b), so its data sums come from the table
+    sums_of = _recent(sums, len(names))
 
     def log_post(v):
         a, b, p = float(v[0]), float(v[1]), float(v[2])
         if a <= 0 or b <= 0 or p <= 0:
             return -math.inf
-        np.subtract(logx, math.log(b), out=w)
-        np.multiply(w, a, out=w)
-        np.logaddexp(0.0, w, out=softplus)
+        sum_w, sum_softplus = sums_of(_pack2(a, b), a, b)
         ll = (
             n * (math.log(a) + math.log(p))
             - slogx
-            + p * float(w.sum())
-            - (p + 1.0) * float(softplus.sum())
+            + p * sum_w
+            - (p + 1.0) * sum_softplus
         )
         return ll + logp(a, b, p)
 
-    return PosteriorTarget(log_post, ("positive",) * 3, ("a", "b", "p"))
+    return PosteriorTarget(log_post, ("positive",) * 3, names)
 
 
 def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
@@ -589,6 +627,8 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     half_n_log2pi = 0.5 * n * math.log(2.0 * math.pi)
 
     kind = prior.kind
+    # each prior's log density is logp(coef_term(coef), var): the coefficient
+    # term is cached with the residual sum of squares
     if kind == "lomax":
         # one dimension per coefficient, intercept included, plus the variance
         spec = _lomax_of_dim(prior, p + 2, "regression", frozenset(range(1, p + 2)))
@@ -596,15 +636,21 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
         expo = spec.shape + spec.dim
         a0 = spec.scale
 
-        def logp(coef, var):
-            return const - expo * math.log(a0 + float(np.abs(coef).sum()) + var)
+        def coef_term(coef):
+            return float(np.add.reduce(np.abs(coef)))
+
+        def logp(abs_sum, var):
+            return const - expo * math.log(a0 + abs_sum + var)
 
     elif kind == "vague-normal-sigma":
         c = prior.c
         const = -0.5 * (p + 1) * math.log(2.0 * math.pi * c)
 
-        def logp(coef, var):
-            return -math.log(var) + const - 0.5 * float(coef @ coef) / c
+        def coef_term(coef):
+            return float(coef @ coef)
+
+        def logp(sq_sum, var):
+            return -math.log(var) + const - 0.5 * sq_sum / c
 
     elif kind == "zellner-g":
         design = X if prior.design is None else prior.design
@@ -617,9 +663,18 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
             raise ValueError("design matrix must have full column rank")
         g = prior.g
 
-        def logp(coef, var):
+        def quad_form(slopes):
+            return float(slopes @ xtx @ slopes)
+
+        # an intercept move keeps the slopes, so their quadratic form comes from the table
+        quad_of = _recent(quad_form, len(names))
+
+        def coef_term(coef):
             slopes = coef[1:]
-            quad = float(slopes @ xtx @ slopes) / (var * g)
+            return quad_of(slopes.tobytes(), slopes)
+
+        def logp(slope_quad, var):
+            quad = slope_quad / (var * g)
             return (
                 -math.log(var)
                 - 0.5 * p * math.log(2.0 * math.pi * var * g)
@@ -630,14 +685,24 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     else:
         raise ValueError(f"prior {kind!r} is not defined for the regression model")
 
+    r = np.empty(n)  # reused by every call: log_post is not thread-safe
+
+    def data_terms(coef):
+        np.matmul(full, coef, out=r)
+        np.subtract(y, r, out=r)
+        return float(r @ r), coef_term(coef)
+
+    # a sigma2 move keeps the coefficients, so both terms come from the table
+    terms_of = _recent(data_terms, len(names))
+
     def log_post(v):
         var = float(v[-1])
         if var <= 0:
             return -math.inf
         coef = v[:-1]
-        r = y - full @ coef
-        ll = -half_n_log2pi - 0.5 * n * math.log(var) - float(r @ r) / (2.0 * var)
-        return ll + logp(coef, var)
+        rss, term = terms_of(coef.tobytes(), coef)
+        ll = -half_n_log2pi - 0.5 * n * math.log(var) - rss / (2.0 * var)
+        return ll + logp(term, var)
 
     return PosteriorTarget(log_post, support, names)
 

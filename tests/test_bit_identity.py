@@ -395,3 +395,81 @@ def test_scenario_replicate_matches_reference(monkeypatch):
     monkeypatch.setattr(ex.md, "dagum_target", reference_dagum_target)
     want = ex._run_replicate(spec, 0)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_log_post_walk_matches_reference(case):
+    """A sampler's single-coordinate walk, with returns to earlier states.
+
+    Each step moves one coordinate in turn, as a sweep does, and is accepted
+    or rejected; now and then the walk jumps back to a state it held before,
+    or puts a real coordinate on 0.0 or -0.0.  The vector is changed in
+    place, as ``run_chain`` changes it, so every value a target serves from
+    its cache must still equal the reference's.
+    """
+    target, reference, init, steps = _build(case, 5)
+    positive = [s == "positive" for s in target.support]
+    rng = np.random.default_rng(29)
+    x = init.copy()
+    held = [x.copy()]
+    assert target.log_post(x) == reference.log_post(x)
+    for step in range(1500):
+        j = step % x.size
+        if rng.random() < 0.05:
+            x[:] = held[rng.integers(len(held))]
+        old = x[j]
+        shift = 2.0 * steps[j] * rng.standard_normal()
+        if positive[j]:
+            x[j] = old * math.exp(shift)
+        elif rng.random() < 0.02:
+            x[j] = rng.choice([0.0, -0.0])
+        else:
+            x[j] = old + shift
+        assert target.log_post(x) == reference.log_post(x)
+        if rng.random() < 0.5:
+            held.append(x.copy())
+        else:
+            x[j] = old
+        if rng.random() < 0.2:
+            assert target.log_post(x) == reference.log_post(x)
+
+
+# per model, a numpy call that each pass over the data makes exactly once
+DATA_PASS = {"dagum": "logaddexp", "linreg": "matmul"}
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in DATA_PASS))
+def test_one_data_pass_per_distinct_key(case, monkeypatch):
+    """A chain passes over the data once per distinct key: once per move that changes the key.
+
+    Dagum's data sums are keyed on (a, b), so a p move reuses them; the
+    regression's on the coefficients, so a sigma2 move reuses them.  Every
+    other move proposes a new key, so a chain of ``t`` sweeps over ``d``
+    coordinates makes ``(d - 1) t + 1`` passes in ``d t + 1`` evaluations.
+    """
+    model = CASES[case][0]
+    target, _, init, steps = _build(case, 3)
+    name = DATA_PASS[model]
+    passes = [0]
+    real = getattr(np, name)
+
+    def spy(*args, **kwargs):
+        passes[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, spy)
+    keys = set()
+    evals = [0]
+
+    def log_post(v):
+        evals[0] += 1
+        keys.add(v[:2].tobytes() if model == "dagum" else v[:-1].tobytes())
+        return target.log_post(v)
+
+    config = ChainConfig(
+        iterations=ITERATIONS, burn_in=BURN_IN, thin=THIN, initial=init, steps=steps, seed=3
+    )
+    run_chain(PosteriorTarget(log_post, target.support, target.names), config)
+    d = target.dim
+    assert evals[0] == d * ITERATIONS + 1
+    assert passes[0] == len(keys) == (d - 1) * ITERATIONS + 1

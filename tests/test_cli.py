@@ -58,6 +58,57 @@ def test_prior_folded_grid(tmp_path):
     np.testing.assert_allclose(body[:, 1], body[::-1, 1], rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dim", "2", "--grid", "1001"],
+        ["--dim", "1", "--grid", str(cli.MAX_GRID_POINTS + 1)],
+        ["--dim", "2", "--folded", "1", "--grid", "5000", "--samples", "10"],
+    ],
+)
+def test_prior_refuses_large_grid(tmp_path, capsys, monkeypatch, argv):
+    def no_density(*args):
+        raise AssertionError("a density was evaluated before the grid was refused")
+
+    monkeypatch.setattr(cli.lx, "density", no_density)
+    out = tmp_path / "o"
+    assert run_cli("prior", *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dim", "2", "--k", "1.5", "--a", "2", "--grid", "13"],
+        ["--dim", "2", "--folded", "2", "--grid", "9", "--xmax", "4"],
+        ["--dim", "1", "--grid", "17"],
+    ],
+)
+def test_prior_grid_bytes(tmp_path, argv):
+    """The streamed grid writes the rows a list of every (x, [y,] density) tuple gives."""
+    out = tmp_path / "o"
+    assert run_cli("prior", *argv, "--out", str(out)) == 0
+    args = cli.build_parser().parse_args(["prior", *argv])
+    folded = frozenset(int(t) for t in args.folded.split(",")) if args.folded else frozenset()
+    spec = cli.lx.LomaxSpec(dim=args.dim, shape=args.k, scale=args.a, folded=folded)
+    xmax = args.xmax or cli.lx.univariate_quantile(spec.shape, spec.scale, 0.95)
+    axes = [
+        np.linspace(-xmax, xmax, args.grid) if i + 1 in folded else np.linspace(xmax / args.grid, xmax, args.grid)
+        for i in range(spec.dim)
+    ]
+    if spec.dim == 1:
+        rows = [(float(x), cli.lx.density(spec, [x])) for x in axes[0]]
+        header = ["x", "density"]
+    else:
+        rows = [(float(x), float(y), cli.lx.density(spec, [x, y])) for x in axes[0] for y in axes[1]]
+        header = ["x", "y", "density"]
+    mcmc.write_csv(tmp_path / "want.csv", header, rows)
+    assert (out / "prior_grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # score-check
 

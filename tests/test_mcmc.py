@@ -50,6 +50,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         mcmc.ChainConfig(iterations=100, burn_in=100, thin=1, **ok)
     with pytest.raises(ValueError):
+        mcmc.ChainConfig(iterations=100, burn_in=-1, thin=1, **ok)
+    with pytest.raises(ValueError):
         mcmc.ChainConfig(iterations=100, burn_in=10, thin=0, **ok)
     with pytest.raises(ValueError):
         mcmc.ChainConfig(iterations=100, burn_in=10, thin=1, initial=np.zeros(2), steps=np.array([1.0, -1.0]))
