@@ -1,6 +1,6 @@
 """Run a fixed matrix of ``lomax-prior`` commands and record everything they write.
 
-    PYTHONPATH=src python tools/cli_outputs.py OUTDIR
+    PYTHONPATH=src python tools/cli_outputs.py OUTDIR [--write FILE | --check FILE]
 
 Each run gets a directory ``OUTDIR/<name>/`` holding the files the command
 wrote (under ``out/``), its arguments, stdout, stderr and exit code.  The
@@ -18,12 +18,25 @@ relative paths only.  So two source trees can be compared byte for byte:
     PYTHONPATH=src python tools/cli_outputs.py /tmp/this
     diff -r /tmp/other /tmp/this
 
-The exit status is 1 when any command exited non-zero.
+``--write FILE`` records the SHA-256 of every file under OUTDIR in FILE, one
+``digest  path`` line each, after a header naming the numpy version and the
+SIMD features numpy enabled: numpy's vectorized ``exp`` and ``log`` may round
+differently on another CPU.  ``--check FILE`` compares the run with such a
+record and names every file whose digest moved; the committed record is
+``tools/cli_outputs.sha256``:
+
+    PYTHONPATH=src python tools/cli_outputs.py /tmp/this --check tools/cli_outputs.sha256
+
+The exit status is 1 when any command exited non-zero or any digest moved,
+and 3 when the record was written under another numpy or CPU (so nothing
+was compared).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -128,12 +141,53 @@ def run_one(name: str, argv: list, writes: bool) -> int:
     return code
 
 
+def host_header() -> list:
+    """The record's header lines: numpy's version and its enabled SIMD features."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    enabled = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return [f"# numpy {np.__version__}", f"# cpu {enabled}"]
+
+
+def digests(outdir: Path) -> dict:
+    """SHA-256 hex digest of every file under ``outdir``, by its relative path."""
+    return {
+        path.relative_to(outdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(outdir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def write_record(outdir: Path, record: Path) -> None:
+    lines = host_header() + [f"{digest}  {name}" for name, digest in digests(outdir).items()]
+    record.write_text("\n".join(lines) + "\n")
+
+
+def check_record(outdir: Path, record: Path) -> int:
+    """0 when every digest matches ``record``, 1 when any moved, 3 when its header differs."""
+    lines = record.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    here = host_header()
+    if header != here:
+        differs = [f"{a[2:]!r} there, {b[2:]!r} here" for a, b in zip(header, here) if a != b]
+        print(f"{record} was written on another host: {'; '.join(differs) or header}", file=sys.stderr)
+        return 3
+    want = {name: digest for digest, name in (line.split("  ", 1) for line in lines if not line.startswith("#"))}
+    got = digests(outdir)
+    moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    for name in moved:
+        print(f"digest moved: {name}", file=sys.stderr)
+    return 1 if moved else 0
+
+
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python tools/cli_outputs.py OUTDIR", file=sys.stderr)
-        return 2
-    outdir = Path(args[0])
+    parser = argparse.ArgumentParser(description="Run the CLI output matrix into OUTDIR.")
+    parser.add_argument("outdir", metavar="OUTDIR")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", metavar="FILE", type=Path, help="record every output file's SHA-256 in FILE")
+    mode.add_argument("--check", metavar="FILE", type=Path, help="name every file whose SHA-256 differs from FILE")
+    args = parser.parse_args(argv)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if any(outdir.iterdir()):
         print(f"error: {outdir} is not empty", file=sys.stderr)
@@ -152,8 +206,10 @@ def main(argv=None) -> int:
         os.chdir(home)
     if failed:
         print(f"{len(failed)} command(s) exited non-zero: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+    if args.write:
+        write_record(outdir, args.write)
+    checked = check_record(outdir, args.check) if args.check else 0
+    return 1 if failed else checked
 
 
 if __name__ == "__main__":
