@@ -37,6 +37,7 @@ PRIOR_ALIASES = {
 }
 
 MAX_GRID_POINTS = 10**6  # prior --grid cap: N**dim rows, one density call each
+MAX_SAMPLE_VALUES = 10**7  # prior --samples cap: samples * dim floats, 80 MB per array
 SCORE_PASS_TOL = 1e-5
 SCORE_SEPARATION_TOL = 1e-2
 
@@ -82,6 +83,10 @@ def cmd_prior(args) -> int:
     if args.grid**spec.dim > MAX_GRID_POINTS:
         raise ValueError(
             f"a {args.grid}**{spec.dim} density grid exceeds {MAX_GRID_POINTS} points; use a smaller --grid"
+        )
+    if args.samples * spec.dim > MAX_SAMPLE_VALUES:
+        raise ValueError(
+            f"{args.samples} samples of dimension {spec.dim} exceed {MAX_SAMPLE_VALUES} values; use fewer --samples"
         )
     out = _outdir(args)
     wrote = []
@@ -165,11 +170,7 @@ def _fit_inputs(args):
         data = md.read_column_csv(args.data, args.column)
     prior = {"kind": PRIOR_ALIASES[args.prior]}
     if args.prior == "lomax":
-        prior.update(shape=args.prior_k, scale=args.prior_a, dim=2 if args.model == "weibull" else 3)
-        if args.model == "linreg":
-            # every coefficient, folded onto the real line, plus the variance
-            p = data[0].shape[1]
-            prior.update(dim=p + 2, folded=list(range(1, p + 2)))
+        prior.update(shape=args.prior_k, scale=args.prior_a)
     return md.chain_inputs(args.model, md.PriorSpec.from_dict(prior), data)
 
 

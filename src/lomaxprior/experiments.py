@@ -39,6 +39,9 @@ __all__ = [
     "scenario_to_json",
 ]
 
+MAX_REPLICATES = 10**5  # a scenario's replicates: one result row each, held until aggregation
+MAX_SAMPLE_SIZE = 10**6  # a scenario's n: each replicate's dataset, and its design matrix for linreg
+
 CHAIN_PRESETS = {
     "desk": (20_000, 5_000, 10),
     "full": (100_000, 10_000, 50),
@@ -78,22 +81,22 @@ class ScenarioSpec:
     covariate_sd: float = 3.0
 
     def __post_init__(self):
-        if self.model not in md.MODELS:
-            raise ValueError(f"unknown model {self.model!r}; use one of {md.MODELS}")
         try:
             for key in ("n", "replicates", "seed"):
                 object.__setattr__(self, key, md.integer_key(key, getattr(self, key)))
             object.__setattr__(self, "covariate_sd", md.real_key("covariate_sd", self.covariate_sd))
         except ValueError as exc:
             raise ValueError(f"scenario {exc}") from None
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if self.n < 2:
-            raise ValueError("sample size must be >= 2")
+        if not 1 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(f"need between 1 and {MAX_REPLICATES} replicates, got {self.replicates}")
+        if not 2 <= self.n <= MAX_SAMPLE_SIZE:
+            raise ValueError(f"sample size must be between 2 and {MAX_SAMPLE_SIZE}, got {self.n}")
         object.__setattr__(self, "priors", tuple(self.priors))
         if not (isinstance(self.truth, dict) and all(isinstance(v, numbers.Real) for v in self.truth.values())):
             raise ValueError(f"truth must map parameter names to numbers, got {self.truth!r}")
         object.__setattr__(self, "truth", dict(self.truth))
+        if set(self.truth) != set(names := _param_names(self)):
+            raise ValueError(f"truth keys {list(self.truth)} are not the {self.model} parameters {list(names)}")
         if not self.priors:
             raise ValueError("need at least one prior to compare")
         # the preset is checked here so that a bad one fails before any chain runs
@@ -192,24 +195,12 @@ def _prior_labels(priors) -> list[str]:
 
 
 def _param_names(spec: ScenarioSpec) -> tuple[str, ...]:
-    if spec.model == "weibull":
-        return ("scale", "shape")
-    if spec.model == "dagum":
-        return ("a", "b", "p")
-    n_coef = len([k for k in spec.truth if k.startswith("beta")])
-    return tuple(f"beta{j}" for j in range(n_coef)) + ("sigma2",)
-
-
-def _truth_vector(spec: ScenarioSpec) -> np.ndarray:
-    names = _param_names(spec)
-    missing = [k for k in names if k not in spec.truth]
-    if missing:
-        raise ValueError(f"truth is missing {missing}")
-    return np.array([float(spec.truth[k]) for k in names])
+    # a regression's truth holds beta0, sigma2 and one coefficient per covariate
+    return md.parameters(spec.model, len(spec.truth) - 2)[0]
 
 
 def _draw_dataset(spec: ScenarioSpec, rng: np.random.Generator):
-    truth = _truth_vector(spec)
+    truth = np.array([float(spec.truth[k]) for k in _param_names(spec)])
     if spec.model == "weibull":
         params = md.WeibullParams(scale=truth[0], shape=truth[1])
         return md.weibull_sample(params, spec.n, rng)
@@ -287,8 +278,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
             f"{failed}/{spec.replicates} replicates failed chain initialization"
         )
     stacked = np.stack(ok)  # (reps_ok, n_priors, n_params, 3)
-    truth = _truth_vector(spec)
     names = _param_names(spec)
+    truth = [float(spec.truth[k]) for k in names]
     labels = _prior_labels(spec.priors)
     table = MetricsTable(
         scenario=f"{spec.model}-n{spec.n}-seed{spec.seed}",

@@ -41,15 +41,21 @@ ADAPT_LOW = 0.2
 SUPPORTS = ("real", "positive")
 
 MIN_DRAWS = 100  # retained draws below which summaries are refused
+MAX_DRAWS = 10**7  # retained draws above which a schedule is refused: run_chain holds them all
 
 
 def check_schedule(iterations: int, burn_in: int, thin: int) -> None:
-    """Refuse a chain schedule that keeps fewer than MIN_DRAWS draws, (iterations - burn_in) // thin."""
+    """Refuse a schedule keeping fewer than MIN_DRAWS or more than MAX_DRAWS draws, (iterations - burn_in) // thin."""
     # with thin >= 1, keeping MIN_DRAWS draws implies burn_in < iterations
     if burn_in < 0 or thin < 1 or (iterations - burn_in) // thin < MIN_DRAWS:
         raise ValueError(
             f"[iterations, burn_in, thin] = {[iterations, burn_in, thin]} needs burn_in >= 0, thin >= 1"
             f" and at least {MIN_DRAWS} retained draws, (iterations - burn_in) // thin"
+        )
+    if (iterations - burn_in) // thin > MAX_DRAWS:
+        raise ValueError(
+            f"[iterations, burn_in, thin] = {[iterations, burn_in, thin]} keeps more than {MAX_DRAWS} draws;"
+            " raise thin or burn_in"
         )
 
 
@@ -99,7 +105,6 @@ class ChainConfig:
     thin: int
     initial: np.ndarray
     steps: np.ndarray
-    adapt: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -202,7 +207,7 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
                     draws[kept] = x
                     kept += 1
         win_len += block
-        if config.adapt and t <= burn_in:
+        if t <= burn_in:
             steps = adapt_steps(np.array(win_acc) / win_len, steps)
             win_acc = [0] * d
             win_len = 0

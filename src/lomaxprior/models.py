@@ -12,7 +12,6 @@ becomes 1/sigma^2 after the change of variables).
 
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 import struct
@@ -25,6 +24,7 @@ from lomaxprior.mcmc import PosteriorTarget, read_csv
 
 __all__ = [
     "MODELS",
+    "parameters",
     "WeibullParams",
     "DagumParams",
     "LinRegParams",
@@ -56,6 +56,18 @@ __all__ = [
 ]
 
 MODELS = ("weibull", "dagum", "linreg")
+_DERIVED = object()  # PriorSpec.lomax's default dim and folded: the model's
+
+
+def parameters(model: str, p: int = 0) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(names, supports) of the model's parameters in chain order; ``p`` is the regression's covariate count."""
+    if model == "weibull":
+        return ("scale", "shape"), ("positive",) * 2
+    if model == "dagum":
+        return ("a", "b", "p"), ("positive",) * 3
+    if model == "linreg":
+        return ("beta0", *(f"beta{j}" for j in range(1, p + 1)), "sigma2"), ("real",) * (p + 1) + ("positive",)
+    raise ValueError(f"unknown model {model!r}; use one of {MODELS}")
 
 
 @dataclass(frozen=True)
@@ -359,7 +371,10 @@ class PriorSpec:
     """
 
     kind: str
-    lomax_spec: LomaxSpec | None = None
+    dim: int | None = None  # the Lomax keys, as given: a dim or folded of None is the model's
+    shape: float = LomaxSpec.shape
+    scale: float = LomaxSpec.scale
+    folded: frozenset | None = None
     gamma_shapes: tuple = ()
     gamma_rates: tuple = ()
     c: float = 1e6
@@ -369,8 +384,9 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in tuple(PRIOR_KINDS):  # a tuple: an unhashable kind is unknown too
             raise ValueError(f"unknown prior kind {self.kind!r}; use one of {tuple(PRIOR_KINDS)}")
-        if self.kind == "lomax" and self.lomax_spec is None:
-            raise ValueError("lomax prior needs a LomaxSpec")
+        if self.kind == "lomax":  # the given keys must form a LomaxSpec; folds without a dim meet the model's check
+            dim, folded = (1, ()) if self.dim is None else (self.dim, self.folded or ())
+            LomaxSpec(dim, self.shape, self.scale, folded)
         if self.kind == "vague-gamma-product":
             if len(self.gamma_shapes) != len(self.gamma_rates) or not self.gamma_shapes:
                 raise ValueError("gamma prior needs matching shape/rate tuples")
@@ -383,15 +399,18 @@ class PriorSpec:
 
     @staticmethod
     def lomax(
-        dim: int, shape: float = LomaxSpec.shape, scale: float = LomaxSpec.scale, folded=()
+        dim: int = _DERIVED, shape: float = LomaxSpec.shape, scale: float = LomaxSpec.scale, folded=_DERIVED
     ) -> "PriorSpec":
-        spec = LomaxSpec(
-            integer_key("dim", dim),
-            real_key("shape", shape),
-            real_key("scale", scale),
-            frozenset(integer_key("folded", i) for i in folded),
+        """One coordinate per model parameter, folded where its support is the real line.
+
+        A ``dim`` or ``folded`` given must be the model's; None is refused, as a JSON null is."""
+        return PriorSpec(
+            kind="lomax",
+            dim=None if dim is _DERIVED else integer_key("dim", dim),
+            shape=real_key("shape", shape),
+            scale=real_key("scale", scale),
+            folded=None if folded is _DERIVED else frozenset(integer_key("folded", i) for i in folded),
         )
-        return PriorSpec(kind="lomax", lomax_spec=spec)
 
     @staticmethod
     def weibull_reference() -> "PriorSpec":
@@ -421,8 +440,8 @@ class PriorSpec:
         """The JSON object a scenario file stores; ``design`` is not stored."""
         out = {"kind": self.kind}
         if self.kind == "lomax":
-            spec = self.lomax_spec
-            out.update(dim=spec.dim, shape=spec.shape, scale=spec.scale, folded=sorted(spec.folded))
+            given = dict(dim=self.dim, shape=self.shape, scale=self.scale, folded=self.folded)
+            out.update((key, sorted(v) if key == "folded" else v) for key, v in given.items() if v is not None)
         elif self.kind == "vague-gamma-product":
             out.update(shapes=list(self.gamma_shapes), rates=list(self.gamma_rates))
         elif self.kind == "vague-normal-sigma":
@@ -443,10 +462,6 @@ class PriorSpec:
         unknown = [key for key in d if key != "kind" and key not in keys]
         if unknown:
             raise ValueError(f"bad {kind!r} prior: unknown key {unknown[0]!r}; use {('kind', *keys)}")
-        params = inspect.signature(build).parameters
-        missing = [key for key in keys if params[key].default is inspect.Parameter.empty and key not in d]
-        if missing:
-            raise ValueError(f"bad {kind!r} prior: missing {missing[0]!r}")
         try:
             return build(**{key: d[key] for key in keys if key in d})
         except (TypeError, ValueError) as exc:
@@ -510,15 +525,16 @@ def _recent(compute, size: int):
 _pack2 = struct.Struct("2d").pack  # the float64 bytes of two scalars
 
 
-def _lomax_of_dim(prior: PriorSpec, dim: int, model: str, folded=frozenset()) -> LomaxSpec:
-    """The prior's LomaxSpec, which must have the model's dimension and fold set."""
-    spec = prior.lomax_spec
-    if spec.dim != dim or spec.folded != folded:
+def _lomax_for(prior: PriorSpec, support, model: str) -> LomaxSpec:
+    """The prior's LomaxSpec on ``support``: one coordinate per parameter, folded where it is the real line."""
+    dim, folded = len(support), frozenset(i for i, s in enumerate(support, 1) if s == "real")
+    got = (dim if prior.dim is None else prior.dim, folded if prior.folded is None else prior.folded)
+    if got != (dim, folded):
         raise ValueError(
             f"the {model} model needs a lomax prior of dimension {dim} folded on {sorted(folded)},"
-            f" got dimension {spec.dim} folded on {sorted(spec.folded)}"
+            f" got dimension {got[0]} folded on {sorted(got[1])}"
         )
-    return spec
+    return LomaxSpec(dim, prior.shape, prior.scale, folded)
 
 
 def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
@@ -526,9 +542,10 @@ def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
     n = x.size
     logx = np.log(x)
     slogx = float(np.sum(logx))
+    names, support = parameters("weibull")
 
     if prior.kind == "lomax":
-        spec = _lomax_of_dim(prior, 2, "Weibull")
+        spec = _lomax_for(prior, support, "Weibull")
         const = math.log(spec.scale) * spec.shape + math.log(
             spec.shape * (spec.shape + 1.0)
         )
@@ -559,7 +576,7 @@ def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
         ll = n * math.log(be) + (be - 1.0) * slogx - n * be * log_th - float(z.sum())
         return ll + logp(th, be)
 
-    return PosteriorTarget(log_post, ("positive", "positive"), ("scale", "shape"))
+    return PosteriorTarget(log_post, support, names)
 
 
 def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
@@ -567,9 +584,10 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     n = x.size
     logx = np.log(x)
     slogx = float(np.sum(logx))
+    names, support = parameters("dagum")
 
     if prior.kind == "lomax":
-        spec = _lomax_of_dim(prior, 3, "Dagum")
+        spec = _lomax_for(prior, support, "Dagum")
         const = math.log(normalizing_constant(spec))
         expo = spec.shape + 3.0
         a0 = spec.scale
@@ -588,7 +606,6 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     else:
         raise ValueError(f"prior {prior.kind!r} is not defined for the Dagum model")
 
-    names = ("a", "b", "p")
     w = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
     softplus = np.empty_like(logx)
 
@@ -614,7 +631,7 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
         )
         return ll + logp(a, b, p)
 
-    return PosteriorTarget(log_post, ("positive",) * 3, names)
+    return PosteriorTarget(log_post, support, names)
 
 
 def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
@@ -622,16 +639,14 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     full = np.column_stack([np.ones(n), X])
-    names = ("beta0", *(f"beta{j}" for j in range(1, p + 1)), "sigma2")
-    support = ("real",) * (p + 1) + ("positive",)
+    names, support = parameters("linreg", p)
     half_n_log2pi = 0.5 * n * math.log(2.0 * math.pi)
 
     kind = prior.kind
     # each prior's log density is logp(coef_term(coef), var): the coefficient
     # term is cached with the residual sum of squares
     if kind == "lomax":
-        # one dimension per coefficient, intercept included, plus the variance
-        spec = _lomax_of_dim(prior, p + 2, "regression", frozenset(range(1, p + 2)))
+        spec = _lomax_for(prior, support, "regression")
         const = math.log(normalizing_constant(spec))
         expo = spec.shape + spec.dim
         a0 = spec.scale
@@ -736,8 +751,7 @@ def chain_inputs(model: str, prior: PriorSpec, data):
         return weibull_target(data, prior), weibull_init(data), np.array([0.3, 0.3])
     if model == "dagum":
         return dagum_target(data, prior), dagum_init(data), np.array([0.3, 0.3, 0.3])
-    if model != "linreg":
-        raise ValueError(f"unknown model {model!r}; use one of {MODELS}")
+    parameters(model)  # refuses an unknown model
     X, y = data
     target = linreg_target(X, y, prior)
     ls = least_squares_init(X, y)

@@ -33,6 +33,8 @@ __all__ = [
     "coordinate_descent_logpenalty",
 ]
 
+MAX_NOISE_DRAWS = 10**7  # mse_experiment's n * reps cap: it draws them as one array, 80 MB
+
 
 @dataclass(frozen=True)
 class PenaltyExperimentConfig:
@@ -47,6 +49,8 @@ class PenaltyExperimentConfig:
             raise ValueError("lambda must be > 0")
         if self.n < 2 or self.reps < 1:
             raise ValueError("need n >= 2 and reps >= 1")
+        if self.n * self.reps > MAX_NOISE_DRAWS:
+            raise ValueError(f"n * reps = {self.n * self.reps} exceeds {MAX_NOISE_DRAWS} noise draws; use fewer")
 
 
 def log_penalty_estimate_1d(z, lam: float):

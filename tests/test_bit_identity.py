@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from lomaxprior import experiments as ex
 from lomaxprior import models as md
-from lomaxprior.lomax import normalizing_constant
+from lomaxprior.lomax import LomaxSpec, normalizing_constant
 from lomaxprior.mcmc import (
     ADAPT_WINDOW,
     ChainConfig,
@@ -102,7 +102,7 @@ def reference_run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOu
                     draws[kept] = x
                     kept += 1
         win_len += block
-        if config.adapt and t <= burn_in:
+        if t <= burn_in:
             steps = adapt_steps(win_acc / win_len, steps)
             win_acc[:] = 0.0
             win_len = 0
@@ -127,7 +127,7 @@ def reference_weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
     slogx = float(np.sum(logx))
 
     if prior.kind == "lomax":
-        spec = prior.lomax_spec
+        spec = LomaxSpec(2, prior.shape, prior.scale)
         const = math.log(spec.scale) * spec.shape + math.log(
             spec.shape * (spec.shape + 1.0)
         )
@@ -163,7 +163,7 @@ def reference_dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     slogx = float(np.sum(logx))
 
     if prior.kind == "lomax":
-        spec = prior.lomax_spec
+        spec = LomaxSpec(3, prior.shape, prior.scale)
         const = math.log(normalizing_constant(spec))
         expo = spec.shape + 3.0
         a0 = spec.scale
@@ -212,7 +212,7 @@ def reference_linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
 
     kind = prior.kind
     if kind == "lomax":
-        spec = prior.lomax_spec
+        spec = LomaxSpec(p + 2, prior.shape, prior.scale, frozenset(range(1, p + 2)))
         if spec.dim != p + 2:
             raise ValueError("lomax prior dimension must cover coefficients plus variance")
         const = math.log(normalizing_constant(spec))
@@ -364,7 +364,7 @@ def test_log_post_matches_reference(case):
 
 
 def test_unadapted_chain_and_plain_target_match_reference():
-    """adapt=False and a caller-written target go through the same loop."""
+    """A caller-written target goes through the same loop."""
 
     def lp(x):
         if x[1] <= 0:
@@ -373,8 +373,7 @@ def test_unadapted_chain_and_plain_target_match_reference():
 
     target = PosteriorTarget(lp, ("real", "positive"), ("m", "s"))
     config = ChainConfig(
-        iterations=ITERATIONS, burn_in=BURN_IN, thin=1, initial=[0.5, 1.0], steps=[1.0, 0.8],
-        adapt=False, seed=99,
+        iterations=ITERATIONS, burn_in=BURN_IN, thin=1, initial=[0.5, 1.0], steps=[1.0, 0.8], seed=99,
     )
     _assert_same_chain(run_chain(target, config), reference_run_chain(target, config))
 

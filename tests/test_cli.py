@@ -281,12 +281,18 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
             {"priors": [{"kind": "weibull-reference"}, {"kind": "lomax", "dim": 2, "folded": [1, 2]}]},
             "the Weibull model needs a lomax prior of dimension 2 folded on [], got dimension 2 folded on [1, 2]",
         ),
+        ({"truth": {"scale": 1, "shape": 1, "shap": 3}}, "are not the weibull parameters ['scale', 'shape']"),
+        ({"truth": {"scale": 1}}, "truth keys ['scale'] are not the weibull parameters"),
+        (
+            {"model": "linreg", "truth": {"beta0": 1.0, "beta2": 2.0, "sigma2": 1.0}},
+            "are not the linreg parameters ['beta0', 'beta1', 'sigma2']",
+        ),
     ],
     ids=[
         "n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings",
         "preset-few-draws", "scenario-key-misspelt", "prior-key-misspelt", "n-fraction", "replicates-fraction",
         "replicates-bool", "seed-fraction", "covariate-sd-string", "dim-fraction", "folded-fraction",
-        "shape-string", "folded-weibull",
+        "shape-string", "folded-weibull", "truth-extra-key", "truth-missing-key", "truth-regression-gap",
     ],
 )
 def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):
@@ -307,6 +313,69 @@ def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change
 
 def test_simulate_missing_file(tmp_path):
     assert run_cli("simulate", "--scenario", str(tmp_path / "none.json"), "--out", str(tmp_path)) == 1
+
+
+def simulate_metrics(tmp_path, label, doc):
+    """metrics.csv bytes of ``simulate`` on the scenario ``doc``."""
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / label)) == 0
+    return (tmp_path / label / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["weibull", "dagum", "linreg"])
+def test_simulate_derives_lomax_prior(tmp_path, name):
+    """A scenario's {"kind": "lomax"} is the explicit prior of docs/: metrics.csv keeps every byte."""
+    doc = json.loads((Path(__file__).parent.parent / "docs" / f"scenario_{name}.json").read_text())
+    doc.update(replicates=2, preset=[1200, 200, 5])
+    bare = [{"kind": "lomax"} if p["kind"] == "lomax" else p for p in doc["priors"]]
+    assert bare != doc["priors"]
+    assert simulate_metrics(tmp_path, "explicit", doc) == simulate_metrics(tmp_path, "derived", dict(doc, priors=bare))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_simulate_dimless_regression_prior(tmp_path, p):
+    """One dim-less prior is LM(p + 2) with the p + 1 coefficients folded, for any covariate count p."""
+    truth = {"beta0": 1.0, **{f"beta{j}": float(j) for j in range(1, p + 1)}, "sigma2": 1.0}
+    doc = {"model": "linreg", "truth": truth, "n": 40, "replicates": 2, "preset": [1200, 200, 5]}
+    explicit = {"kind": "lomax", "dim": p + 2, "shape": 2.0, "folded": list(range(1, p + 2))}
+    derived = simulate_metrics(tmp_path, "derived", dict(doc, priors=[{"kind": "lomax", "shape": 2.0}]))
+    assert derived == simulate_metrics(tmp_path, "explicit", dict(doc, priors=[explicit]))
+    assert [row.split(",")[2] for row in derived.decode().splitlines()[1:]] == list(truth)
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("the oversize input was not refused before the work began")
+
+
+@pytest.mark.parametrize(
+    "argv, patch, match",
+    [
+        (["prior", "--dim", "2", "--samples", str(10**12)], (cli.lx, "sample"), "exceed 10000000 values"),
+        (
+            ["fit", "--model", "weibull", "--data", "builtin:breakdown34kv", "--iterations", str(10**12),
+             "--burn-in", "0", "--thin", "1"],
+            (mcmc, "run_chain"),
+            "keeps more than 10000000 draws",
+        ),
+        (["penalty", "--beta", "1", "--lambda", "0.5", "--n", str(10**6), "--reps", str(10**6)],
+         (cli.pn, "mse_experiment"), "exceeds 10000000 noise draws"),
+        (["simulate", {"replicates": 10**10}], (ex, "run_chain"), "need between 1 and 100000 replicates"),
+        (["simulate", {"n": 10**12}], (ex, "run_chain"), "sample size must be between 2 and 1000000"),
+    ],
+    ids=["prior-samples", "fit-iterations", "penalty-n-reps", "simulate-replicates", "simulate-n"],
+)
+def test_oversize_inputs_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, patch, match):
+    if argv[0] == "simulate":
+        doc = json.loads((Path(__file__).parent.parent / "docs" / "scenario_weibull.json").read_text())
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**doc, **argv[1]}))
+        argv = ["simulate", "--scenario", str(path)]
+    monkeypatch.setattr(*patch, _no_allocation)
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
 
 
 # ---------------------------------------------------------------------------

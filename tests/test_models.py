@@ -267,8 +267,8 @@ def test_zellner_prior_matches_mvn():
 def test_prior_validation():
     with pytest.raises(ValueError):
         md.PriorSpec(kind="nope")
-    with pytest.raises(ValueError):
-        md.PriorSpec(kind="lomax")
+    # a Lomax prior is complete without keys: the model gives its dimension and fold set
+    assert md.PriorSpec(kind="lomax") == md.PriorSpec.lomax()
     target = md.dagum_target([1.0, 2.0], md.PriorSpec.vague_gamma())
     assert target.log_post(np.array([1.0, -1.0, 1.0])) == -math.inf
 
@@ -290,6 +290,7 @@ def test_prior_dict_round_trip(prior):
 
 def test_prior_from_dict_defaults():
     assert md.PriorSpec.from_dict({"kind": "lomax", "dim": 2}) == md.PriorSpec.lomax(2)
+    assert md.PriorSpec.from_dict({"kind": "lomax"}) == md.PriorSpec.lomax()
     assert md.PriorSpec.from_dict({"kind": "weibull-reference"}) == md.PriorSpec.weibull_reference()
     assert md.PriorSpec.from_dict({"kind": "vague-gamma-product"}) == md.PriorSpec.vague_gamma()
     assert md.PriorSpec.from_dict({"kind": "vague-normal-sigma"}) == md.PriorSpec.vague_normal()
@@ -301,7 +302,7 @@ def test_prior_from_dict_defaults():
     [
         ("lomax", "JSON object"),
         ({"kind": "flat"}, "unknown prior kind"),
-        ({"kind": "lomax"}, "missing 'dim'"),
+        ({"kind": "lomax", "folded": None}, "bad 'lomax' prior"),
         ({"kind": "lomax", "dim": None}, "bad 'lomax' prior"),
         ({"kind": "lomax", "dim": 2, "folded": 5}, "bad 'lomax' prior"),
         ({"kind": "vague-gamma-product", "shapes": ["x", "x", "x"]}, "bad 'vague-gamma-product' prior"),
@@ -325,6 +326,22 @@ def test_prior_from_dict_defaults():
 def test_prior_from_dict_rejects(d, match):
     with pytest.raises(ValueError, match=match):
         md.PriorSpec.from_dict(d)
+
+
+def test_derived_lomax_prior_round_trips():
+    prior = md.PriorSpec.from_dict({"kind": "lomax"})
+    assert prior.to_dict() == {"kind": "lomax", "shape": 1.0, "scale": 1.0}
+    assert md.PriorSpec.from_dict(prior.to_dict()) == prior
+    half = md.PriorSpec.lomax(shape=2.0, folded=())
+    assert md.PriorSpec.from_dict(half.to_dict()) == half
+
+
+def test_parameters_table():
+    assert md.parameters("weibull") == (("scale", "shape"), ("positive", "positive"))
+    assert md.parameters("dagum") == (("a", "b", "p"), ("positive",) * 3)
+    assert md.parameters("linreg", 2) == (("beta0", "beta1", "beta2", "sigma2"), ("real", "real", "real", "positive"))
+    with pytest.raises(ValueError, match="unknown model 'cauchy'"):
+        md.parameters("cauchy")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +446,7 @@ def test_target_lomax_dimension_must_match_model():
 def test_prior_constructors_check_key_types():
     # Python callers meet the same rule as scenario files
     assert md.PriorSpec.lomax(2.0, shape=3) == md.PriorSpec.lomax(2, shape=3.0)
-    assert md.PriorSpec.lomax(np.int64(3), folded=[np.int64(1)]).lomax_spec.folded == {1}
+    assert md.PriorSpec.lomax(np.int64(3), folded=[np.int64(1)]).folded == {1}
     for bad in (
         lambda: md.PriorSpec.lomax(2.5),
         lambda: md.PriorSpec.lomax(2, folded=[True]),
