@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
 
 MAX_REPLICATES = 10**5  # a scenario's replicates: one result row each, held until aggregation
 MAX_SAMPLE_SIZE = 10**6  # a scenario's n: each replicate's dataset, and its design matrix for linreg
+MAX_WORKERS = 256  # worker processes a scenario may ask for; the pool starts at most one per replicate
 
 CHAIN_PRESETS = {
     "desk": (20_000, 5_000, 10),
@@ -260,8 +260,15 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
     replicates are dropped; the scenario errors if they reach 1% of the
     total.
     """
+    if not 0 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be between 0 and {MAX_WORKERS}, got {workers}")
+    # a forked pool starts all its processes at the first submit, so it gets no more than there are replicates
+    workers = min(workers, spec.replicates)
     results = [None] * spec.replicates
-    if workers and workers > 1:
+    if workers > 1:
+        # imported here so that the serial path, and the CLI start-up, load no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for r, res in enumerate(
                 pool.map(_run_replicate, [spec] * spec.replicates, range(spec.replicates))

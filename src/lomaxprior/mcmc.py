@@ -40,6 +40,11 @@ ADAPT_LOW = 0.2
 
 SUPPORTS = ("real", "positive")
 
+# run_chain decides u < exp(rhs) on the log-uniform from one np.log call per
+# block, and again with math.log where the two sides lie within this relative
+# distance: np.log may differ from math.log in the last bit
+LOG_UNIFORM_TIE = 1e-9
+
 MIN_DRAWS = 100  # retained draws below which summaries are refused
 MAX_DRAWS = 10**7  # retained draws above which a schedule is refused: run_chain holds them all
 
@@ -67,9 +72,10 @@ class ChainInitError(ValueError):
 class PosteriorTarget:
     """Log posterior plus per-coordinate support descriptors and names.
 
-    ``log_post`` must be finite on the interior of the support and return
-    -inf outside it.  It may cache what it computes, but must return the
-    same value for the same ``v``: ``run_chain`` changes ``v`` in place
+    ``log_post(v)`` takes ``v``, a 1-d float64 ndarray of ``dim``
+    coordinates.  It must be finite on the interior of the support and
+    return -inf outside it.  It may cache what it computes, but must return
+    the same value for the same ``v``: ``run_chain`` changes ``v`` in place
     between calls.
     """
 
@@ -170,6 +176,7 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
     win_len = 0
     post_acc = [0] * d
     post_sweeps = 0
+    tie = LOG_UNIFORM_TIE
 
     t = 0
     while t < iterations:
@@ -177,9 +184,9 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
         eps = rng.standard_normal((block, d))
         unif = rng.random((block, d))
         shifts = (eps * steps).tolist()
-        log_unif = [
-            [math.log(u) if u > 0.0 else -math.inf for u in row] for row in unif.tolist()
-        ]
+        with np.errstate(divide="ignore"):  # log(0.0) is -inf
+            log_unif = np.log(unif).tolist()
+        row0 = t
         for shift_row, lu_row in zip(shifts, log_unif):
             t += 1
             burning = t <= burn_in
@@ -195,7 +202,13 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
                     log_corr = 0.0
                 x[j] = new
                 lp_new = float(log_post(x))
-                if lu_row[j] < lp_new - lp + log_corr:
+                rhs = lp_new - lp + log_corr
+                lu = lu_row[j]
+                # near a tie, and where rhs is infinite, math.log decides
+                if abs(lu - rhs) <= tie * (1.0 + abs(rhs)):
+                    u = float(unif[t - row0 - 1, j])
+                    lu = math.log(u) if u > 0.0 else -math.inf
+                if lu < rhs:
                     lp = lp_new
                     xs[j] = new
                     acc[j] += 1

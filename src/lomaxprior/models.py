@@ -564,16 +564,20 @@ def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
         raise ValueError(f"prior {prior.kind!r} is not defined for the Weibull model")
 
     z = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
+    s = np.empty(())  # each scalar operand and the sum: numpy converts no Python float
 
     def log_post(v):
-        th, be = float(v[0]), float(v[1])
+        th, be = v.tolist()
         if th <= 0 or be <= 0:
             return -math.inf
         log_th = math.log(th)
-        np.subtract(logx, log_th, out=z)
-        np.multiply(z, be, out=z)
-        np.exp(z, out=z)
-        ll = n * math.log(be) + (be - 1.0) * slogx - n * be * log_th - float(z.sum())
+        s[()] = log_th
+        np.subtract(logx, s, z)
+        s[()] = be
+        np.multiply(z, s, z)
+        np.exp(z, z)
+        np.add.reduce(z, 0, None, s)
+        ll = n * math.log(be) + (be - 1.0) * slogx - n * be * log_th - float(s)
         return ll + logp(th, be)
 
     return PosteriorTarget(log_post, support, names)
@@ -608,18 +612,25 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
 
     w = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
     softplus = np.empty_like(logx)
+    s = np.empty(())  # each scalar operand and each sum: numpy converts no Python float
 
     def sums(a, b):
-        np.subtract(logx, math.log(b), out=w)
-        np.multiply(w, a, out=w)
-        np.logaddexp(0.0, w, out=softplus)
-        return float(np.add.reduce(w)), float(np.add.reduce(softplus))
+        s[()] = math.log(b)
+        np.subtract(logx, s, w)
+        s[()] = a
+        np.multiply(w, s, w)
+        s[()] = 0.0
+        np.logaddexp(s, w, softplus)
+        np.add.reduce(w, 0, None, s)
+        sum_w = float(s)
+        np.add.reduce(softplus, 0, None, s)
+        return sum_w, float(s)
 
     # a p move keeps (a, b), so its data sums come from the table
     sums_of = _recent(sums, len(names))
 
     def log_post(v):
-        a, b, p = float(v[0]), float(v[1]), float(v[2])
+        a, b, p = v.tolist()
         if a <= 0 or b <= 0 or p <= 0:
             return -math.inf
         sum_w, sum_softplus = sums_of(_pack2(a, b), a, b)

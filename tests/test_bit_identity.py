@@ -14,12 +14,16 @@ below.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from lomaxprior import experiments as ex
+from lomaxprior import mcmc
 from lomaxprior import models as md
 from lomaxprior.lomax import LomaxSpec, normalizing_constant
 from lomaxprior.mcmc import (
@@ -472,3 +476,140 @@ def test_one_data_pass_per_distinct_key(case, monkeypatch):
     d = target.dim
     assert evals[0] == d * ITERATIONS + 1
     assert passes[0] == len(keys) == (d - 1) * ITERATIONS + 1
+
+
+def _bits(value):
+    return "nan" if math.isnan(value) else struct.pack("d", value)
+
+
+# coordinates a kernel must pass through exactly as the reference does
+EDGE_VALUES = (0.0, -0.0, 5e-324, 2.5e-310, -1.0, 1e300, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_log_post_bits_match_reference_at_edge_values(case):
+    """Points mixing ordinary values with zeros, subnormals, huge values, infinities and NaN.
+
+    The log posteriors are compared by their bytes, so -0.0 differs from 0.0.
+    A NaN equals any NaN: its sign depends on whether a sum of two NaNs ran
+    on numpy scalars, as in the reference, or on Python floats, and no
+    decision reads it, as ``run_chain`` rejects every NaN proposal.
+    """
+    target, reference, init, steps = _build(case, 5)
+    positive = [s == "positive" for s in target.support]
+
+    def coordinate(j):
+        ordinary = st.floats(-4.0, 4.0).map(
+            lambda jitter: float(init[j] * math.exp(jitter) if positive[j] else init[j] + 4.0 * jitter)
+        )
+        return st.one_of(ordinary, st.sampled_from(EDGE_VALUES))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.tuples(*(coordinate(j) for j in range(init.size))))
+    def check(point):
+        v = np.array(point)
+        with np.errstate(all="ignore"):
+            got, want = target.log_post(v), reference.log_post(v.copy())
+        assert _bits(got) == _bits(want), (point, got, want)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the log-uniform rule: run_chain decides on one np.log call per block, and
+# again with math.log where the decision is within LOG_UNIFORM_TIE of a tie
+
+
+class _NumpyWithLog:
+    """numpy as ``mcmc`` sees it, with ``log`` replaced."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _alternating(out):
+    """+1.0 on every other element of ``out``, -1.0 on the rest."""
+    return np.where(np.arange(out.size).reshape(out.shape) % 2 == 0, 1.0, -1.0)
+
+
+def _log_ulps_off(a):
+    out = np.log(a)
+    toward = math.inf * _alternating(out)
+    for _ in range(3):
+        out = np.nextafter(out, toward)
+    return out
+
+
+def _log_shifted_by(delta):
+    def log(a):
+        out = np.log(a)
+        return out + delta * _alternating(out)
+
+    return log
+
+
+@pytest.mark.parametrize(
+    "log, tie, same",
+    [
+        (_log_ulps_off, mcmc.LOG_UNIFORM_TIE, True),
+        (_log_shifted_by(1e-2), 5e-2, True),
+        (_log_shifted_by(1e-2), mcmc.LOG_UNIFORM_TIE, False),
+    ],
+    ids=["3-ulps", "1e-2-within-tie", "1e-2-beyond-tie"],
+)
+def test_log_uniform_error_within_tie_keeps_every_chain(monkeypatch, log, tie, same):
+    """An np.log error below the tie tolerance moves no draw; the same error beyond it does.
+
+    The second case re-decides about 5% of the moves with math.log, so it
+    also checks that the fallback reads the right uniform.
+    """
+    monkeypatch.setattr(mcmc, "np", _NumpyWithLog(log))
+    monkeypatch.setattr(mcmc, "LOG_UNIFORM_TIE", tie)
+    outcomes = []
+    for case in sorted(CASES):
+        for seed, step_scale in [(3, 1.0), (11, 4.0)]:
+            target, reference, init, steps = _build(case, seed)
+            config = ChainConfig(
+                iterations=ITERATIONS, burn_in=BURN_IN, thin=THIN, initial=init, steps=step_scale * steps, seed=seed
+            )
+            got, want = run_chain(target, config), reference_run_chain(reference, config)
+            outcomes.append(np.array_equal(got.draws, want.draws))
+    assert all(outcomes) if same else not any(outcomes)
+
+
+_default_rng = np.random.default_rng
+
+
+class _ZeroUniforms:
+    """A generator whose uniform blocks hold 0.0 on every seventh row."""
+
+    def __init__(self, seed):
+        self.rng = _default_rng(seed)
+
+    def standard_normal(self, shape):
+        return self.rng.standard_normal(shape)
+
+    def random(self, shape):
+        out = self.rng.random(shape)
+        out[::7] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("moved", [-math.inf, math.inf])
+def test_zero_uniform_against_infinite_ratio(monkeypatch, moved):
+    """A uniform of 0.0 has log -inf: it rejects a move to -inf and accepts one to +inf, without raising."""
+    start = np.array([0.5, 1.0])
+
+    def lp(x):
+        return 0.0 if np.array_equal(x, start) else moved
+
+    monkeypatch.setattr(np.random, "default_rng", _ZeroUniforms)
+    target = PosteriorTarget(lp, ("real", "positive"), ("m", "s"))
+    config = ChainConfig(iterations=ITERATIONS, burn_in=BURN_IN, thin=1, initial=start, steps=[1.0, 0.8], seed=4)
+    got = run_chain(target, config)
+    _assert_same_chain(got, reference_run_chain(target, config))
+    if moved < 0:
+        assert np.all(got.draws == start) and np.all(got.accept_rates == 0.0)

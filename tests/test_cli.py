@@ -311,6 +311,20 @@ def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("workers", ["-1", str(ex.MAX_WORKERS + 1), "5000"])
+def test_simulate_refuses_worker_count(tmp_path, capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool or a chain started before the worker count was refused")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(ex, "run_chain", no_pool)
+    path = scenario_file(tmp_path)
+    assert run_cli("simulate", "--scenario", str(path), "--workers", workers, "--out", str(tmp_path / "sim")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: workers must be between 0 and {ex.MAX_WORKERS}, got {workers}\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_missing_file(tmp_path):
     assert run_cli("simulate", "--scenario", str(tmp_path / "none.json"), "--out", str(tmp_path)) == 1
 

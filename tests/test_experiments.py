@@ -158,6 +158,37 @@ def test_run_scenario_workers_match_serial():
     assert serial == parallel
 
 
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "replicates, workers, sizes",
+    [(3, ex.MAX_WORKERS, [3]), (3, 2, [2]), (1, 8, []), (3, 1, []), (3, 0, [])],
+    ids=["cap-at-replicates", "fewer-workers", "one-replicate-serial", "one-worker-serial", "serial"],
+)
+def test_pool_starts_no_more_workers_than_replicates(monkeypatch, replicates, workers, sizes):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
+    spec = tiny_weibull_spec(replicates=replicates, preset=(300, 100, 2))
+    assert ex.run_scenario(spec, workers=workers) == ex.run_scenario(spec)
+    assert _RecordingPool.sizes == sizes
+
+
 def test_run_scenario_single_replicate_coverage_degenerate():
     tab = ex.run_scenario(tiny_weibull_spec(replicates=1))
     assert tab.replicates_used == 1

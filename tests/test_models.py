@@ -322,6 +322,30 @@ def test_prior_from_dict_defaults():
         ({"kind": "vague-gamma-product", "rates": [0.1, True, 0.1]}, "'rates' must be a number"),
         ({"kind": "vague-normal-sigma", "c": "1e6"}, "'c' must be a number"),
     ],
+    # the ids pytest once generated, written out: a case can go without renaming the others
+    ids=[
+        "lomax-JSON object",
+        "d1-unknown prior kind",
+        "d2-bad 'lomax' prior",
+        "d3-bad 'lomax' prior",
+        "d4-bad 'lomax' prior",
+        "d5-bad 'vague-gamma-product' prior",
+        "d6-must be > 0",
+        "d7-bad 'zellner-g' prior",
+        "d8-bad 'lomax' prior: unknown key 'shpae'",
+        "d9-unknown key 'dim'",
+        "d10-unknown key 'g'",
+        "d11-unknown key 'design'",
+        "d12-unknown prior kind",
+        "d13-bad 'lomax' prior: 'dim' must be a number \\(an integer\\), got 2.5",
+        "d14-'dim' must be a number \\(an integer\\), got True",
+        "d15-'dim' must be a number \\(an integer\\)",
+        "d16-'folded' must be a number \\(an integer\\), got 1.7",
+        "d17-'shape' must be a number, got '3'",
+        "d18-'scale' must be a number, got False",
+        "d19-'rates' must be a number",
+        "d20-'c' must be a number",
+    ],
 )
 def test_prior_from_dict_rejects(d, match):
     with pytest.raises(ValueError, match=match):

@@ -1,10 +1,12 @@
-"""The command line tool starts without scipy, and the Brent port replaces it exactly.
+"""The command line tool starts without scipy or a process pool, and the Brent port replaces scipy exactly.
 
 ``models.weibull_mle`` solves the Weibull profile equation with
 ``models._brentq``, a port of scipy's C ``brentq``, so that importing the
 command line tool does not import ``scipy.optimize``.  The port has to
 return the same bits as scipy, or the chains started from the MLE would
 move.  scipy stays a dependency of the vague-Gamma prior and of the tests.
+``experiments`` imports the process pool only when a scenario runs on more
+than one worker.
 """
 
 import math
@@ -93,13 +95,24 @@ def test_brentq_port_errors():
     assert md._brentq(lambda t: t, 0.0, 1.0, 1e-12, 1e-15) == 0.0
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _loaded_by_cli_import(*packages):
+    """The modules of ``packages`` that a fresh interpreter holds after importing the CLI."""
     code = (
         "import sys, lomaxprior.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"packages = {packages!r}\n"
+        "print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in packages)))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    """Only ``simulate --workers`` above 1 needs a process pool; the CLI imports it there."""
+    assert _loaded_by_cli_import("multiprocessing", "concurrent.futures.process") == "[]"
