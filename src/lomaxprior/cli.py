@@ -37,7 +37,7 @@ PRIOR_ALIASES = {
 }
 
 MAX_GRID_POINTS = 10**6  # prior --grid cap: N**dim rows, one density call each
-MAX_SAMPLE_VALUES = 10**7  # prior --samples cap: samples * dim floats, 80 MB per array
+MAX_SAMPLE_VALUES = 10**7  # prior --samples and score-check --points cap: count * dim floats, 80 MB per array
 SCORE_PASS_TOL = 1e-5
 SCORE_SEPARATION_TOL = 1e-2
 
@@ -125,6 +125,10 @@ def cmd_prior(args) -> int:
 
 
 def cmd_score_check(args) -> int:
+    if args.points * args.dim > MAX_SAMPLE_VALUES:
+        raise ValueError(
+            f"{args.points} points of dimension {args.dim} exceed {MAX_SAMPLE_VALUES} values; use fewer --points"
+        )
     spec = sc.AlphaSpec(args.k, args.dim)
     if args.field == "lomax":
         field = sc.lomax_field(lx.LomaxSpec(args.dim, float(args.k), args.a))
@@ -346,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ bit-identical regardless of how many worker processes execute them.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -97,6 +98,9 @@ class ScenarioSpec:
         object.__setattr__(self, "truth", dict(self.truth))
         if set(self.truth) != set(names := _param_names(self)):
             raise ValueError(f"truth keys {list(self.truth)} are not the {self.model} parameters {list(names)}")
+        for key, value in self.truth.items():  # relative RMSE divides by |truth|
+            if value == 0 or not math.isfinite(value):
+                raise ValueError(f"truth {key!r} must be finite and nonzero, got {value!r}")
         if not self.priors:
             raise ValueError("need at least one prior to compare")
         # the preset is checked here so that a bad one fails before any chain runs
@@ -264,19 +268,15 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
         raise ValueError(f"workers must be between 0 and {MAX_WORKERS}, got {workers}")
     # a forked pool starts all its processes at the first submit, so it gets no more than there are replicates
     workers = min(workers, spec.replicates)
-    results = [None] * spec.replicates
+    args = [spec] * spec.replicates, range(spec.replicates)
     if workers > 1:
         # imported here so that the serial path, and the CLI start-up, load no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, res in enumerate(
-                pool.map(_run_replicate, [spec] * spec.replicates, range(spec.replicates))
-            ):
-                results[r] = res
+            results = list(pool.map(_run_replicate, *args))
     else:
-        for r in range(spec.replicates):
-            results[r] = _run_replicate(spec, r)
+        results = list(map(_run_replicate, *args))
 
     ok = [res for res in results if res is not None]
     failed = spec.replicates - len(ok)

@@ -71,7 +71,7 @@ class LomaxSpec:
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
         folded = frozenset(int(i) for i in self.folded)
-        if not folded <= set(range(1, self.dim + 1)):
+        if not all(1 <= i <= self.dim for i in folded):  # no set of range(dim): dim may be huge
             raise ValueError(f"folded indices {sorted(folded)} not a subset of 1..{self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "folded", folded)

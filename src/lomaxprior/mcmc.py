@@ -173,9 +173,7 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
     # costs several times more per operation and gives the same IEEE results
     xs = x.tolist()  # mirror of x; x itself is what log_post sees
     win_acc = [0] * d
-    win_len = 0
     post_acc = [0] * d
-    post_sweeps = 0
     tie = LOG_UNIFORM_TIE
 
     t = 0
@@ -186,8 +184,7 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
         shifts = (eps * steps).tolist()
         with np.errstate(divide="ignore"):  # log(0.0) is -inf
             log_unif = np.log(unif).tolist()
-        row0 = t
-        for shift_row, lu_row in zip(shifts, log_unif):
+        for row, (shift_row, lu_row) in enumerate(zip(shifts, log_unif)):
             t += 1
             burning = t <= burn_in
             acc = win_acc if burning else post_acc
@@ -206,7 +203,7 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
                 lu = lu_row[j]
                 # near a tie, and where rhs is infinite, math.log decides
                 if abs(lu - rhs) <= tie * (1.0 + abs(rhs)):
-                    u = float(unif[t - row0 - 1, j])
+                    u = float(unif[row, j])
                     lu = math.log(u) if u > 0.0 else -math.inf
                 if lu < rhs:
                     lp = lp_new
@@ -214,18 +211,14 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
                     acc[j] += 1
                 else:
                     x[j] = old
-            if not burning:
-                post_sweeps += 1
-                if (t - burn_in) % thin == 0:
-                    draws[kept] = x
-                    kept += 1
-        win_len += block
-        if t <= burn_in:
-            steps = adapt_steps(np.array(win_acc) / win_len, steps)
+            if not burning and (t - burn_in) % thin == 0:
+                draws[kept] = x
+                kept += 1
+        if t <= burn_in:  # the whole block burnt in
+            steps = adapt_steps(np.array(win_acc) / block, steps)
             win_acc = [0] * d
-            win_len = 0
 
-    rates = np.array(post_acc) / post_sweeps if post_sweeps else np.zeros(d)
+    rates = np.array(post_acc) / (iterations - burn_in)  # ChainConfig keeps burn_in < iterations
     return ChainOutput(
         draws=draws[:kept],
         accept_rates=rates,

@@ -12,9 +12,9 @@ becomes 1/sigma^2 after the change of variables).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -494,35 +494,11 @@ def _gamma_logpdf(x, shape, rate, log_norm):
 
 # ---------------------------------------------------------------------------
 # posterior targets (likelihood + prior composed for the sampler)
-
-
-def _recent(compute, size: int):
-    """``compute`` remembered for the last ``size`` keys looked up.
-
-    ``get(key, *args)`` returns ``compute(*args)``, from the table when
-    ``key`` is one of the ``size`` most recently used keys; the least
-    recently used key is dropped first.  ``key`` must fix the result bit for
-    bit: it is the exact bytes of the coordinates ``compute`` reads, since
-    ``0.0 == -0.0``.  A value is a float or a tuple of floats, never a view
-    of the caller's vector.  Between two lookups of the sampler's current
-    state, a Gibbs sweep over ``d`` coordinates looks up at most ``d - 1``
-    other keys, so the targets keep ``size = d``.
-    """
-    table = {}
-
-    def get(key, *args):
-        value = table.pop(key, None)  # no value is None
-        if value is None:
-            value = compute(*args)
-            if len(table) == size:
-                del table[next(iter(table))]
-        table[key] = value
-        return value
-
-    return get
-
-
-_pack2 = struct.Struct("2d").pack  # the float64 bytes of two scalars
+#
+# The Dagum and regression targets keep their data terms in an LRU cache of
+# size d: between two lookups of the sampler's current state, a sweep over d
+# coordinates looks up at most d - 1 other keys.  A cached value holds
+# floats, never a view of the caller's vector.
 
 
 def _lomax_for(prior: PriorSpec, support, model: str) -> LomaxSpec:
@@ -614,6 +590,8 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     softplus = np.empty_like(logx)
     s = np.empty(())  # each scalar operand and each sum: numpy converts no Python float
 
+    # a p move keeps (a, b); read only at a, b > 0, where equal keys have equal bits
+    @functools.lru_cache(maxsize=len(names))
     def sums(a, b):
         s[()] = math.log(b)
         np.subtract(logx, s, w)
@@ -626,14 +604,11 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
         np.add.reduce(softplus, 0, None, s)
         return sum_w, float(s)
 
-    # a p move keeps (a, b), so its data sums come from the table
-    sums_of = _recent(sums, len(names))
-
     def log_post(v):
         a, b, p = v.tolist()
         if a <= 0 or b <= 0 or p <= 0:
             return -math.inf
-        sum_w, sum_softplus = sums_of(_pack2(a, b), a, b)
+        sum_w, sum_softplus = sums(a, b)
         ll = (
             n * (math.log(a) + math.log(p))
             - slogx
@@ -689,15 +664,9 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
             raise ValueError("design matrix must have full column rank")
         g = prior.g
 
-        def quad_form(slopes):
-            return float(slopes @ xtx @ slopes)
-
-        # an intercept move keeps the slopes, so their quadratic form comes from the table
-        quad_of = _recent(quad_form, len(names))
-
         def coef_term(coef):
             slopes = coef[1:]
-            return quad_of(slopes.tobytes(), slopes)
+            return float(slopes @ xtx @ slopes)
 
         def logp(slope_quad, var):
             quad = slope_quad / (var * g)
@@ -713,20 +682,19 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
 
     r = np.empty(n)  # reused by every call: log_post is not thread-safe
 
-    def data_terms(coef):
+    # keyed on the coefficients' bytes, not their values: 0.0 == -0.0
+    @functools.lru_cache(maxsize=len(names))
+    def data_terms(key):
+        coef = np.frombuffer(key)
         np.matmul(full, coef, out=r)
         np.subtract(y, r, out=r)
         return float(r @ r), coef_term(coef)
-
-    # a sigma2 move keeps the coefficients, so both terms come from the table
-    terms_of = _recent(data_terms, len(names))
 
     def log_post(v):
         var = float(v[-1])
         if var <= 0:
             return -math.inf
-        coef = v[:-1]
-        rss, term = terms_of(coef.tobytes(), coef)
+        rss, term = data_terms(v[:-1].tobytes())
         ll = -half_n_log2pi - 0.5 * n * math.log(var) - rss / (2.0 * var)
         return ll + logp(term, var)
 

@@ -189,11 +189,16 @@ def euler_identity_residual(spec: AlphaSpec, q: float, grad) -> float:
     return f0 - total
 
 
+def _one_line(x) -> str:
+    """A point for an error message: one line, summarized beyond six coordinates."""
+    return np.array2string(np.asarray(x), max_line_width=2**31 - 1, threshold=6)
+
+
 def _partial_phi_component(spec: AlphaSpec, field: DensityField, x: np.ndarray, i: int) -> float:
     """dphi/dg_i along the field, i.e. alpha_i(grad q(x) / q(x))."""
     q = field.density(x)
     if not np.isfinite(q) or q <= 1e-300:
-        raise FloatingPointError(f"density underflow at stencil point {x}")
+        raise FloatingPointError(f"density underflow at stencil point {_one_line(x)}")
     u = field.gradient(x) / q
     if u[i] == 0.0:
         raise ValueError("alpha is singular where a component of u is zero")
@@ -214,7 +219,7 @@ def score(spec: AlphaSpec, field: DensityField, x) -> float:
         raise ValueError("score is evaluated on the positive orthant")
     q0 = field.density(x)
     if not np.isfinite(q0) or q0 <= 1e-300:
-        raise FloatingPointError(f"density underflow at {x}")
+        raise FloatingPointError(f"density underflow at {_one_line(x)}")
     dq, _ = phi_partials(spec, q0, field.gradient(x))
     total = -dq
 

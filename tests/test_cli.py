@@ -131,6 +131,39 @@ def test_score_check_rejects_even_k(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--points", str(10**9)],
+        ["--dim", str(10**9), "--points", "1"],
+        ["--dim", "2", "--points", str(cli.MAX_SAMPLE_VALUES // 2 + 1)],
+    ],
+    ids=["points", "dim", "just-above-cap"],
+)
+def test_score_check_refuses_large_grid(capsys, monkeypatch, argv):
+    def no_grid(*args):
+        raise AssertionError("a grid was built before its size was refused")
+
+    monkeypatch.setattr(cli.sc, "default_grid", no_grid)
+    assert run_cli("score-check", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"exceed {cli.MAX_SAMPLE_VALUES} values" in err
+
+
+def test_score_check_grid_at_cap_is_built(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def grid_reached(dim, n_points):
+        assert dim * n_points == cli.MAX_SAMPLE_VALUES
+        raise Built
+
+    monkeypatch.setattr(cli.sc, "default_grid", grid_reached)
+    with pytest.raises(Built):
+        run_cli("score-check", "--dim", "2", "--points", str(cli.MAX_SAMPLE_VALUES // 2))
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -287,12 +320,19 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
             {"model": "linreg", "truth": {"beta0": 1.0, "beta2": 2.0, "sigma2": 1.0}},
             "are not the linreg parameters ['beta0', 'beta1', 'sigma2']",
         ),
+        (
+            {"model": "linreg", "truth": {"beta0": 1.0, "beta1": 0.0, "sigma2": 1.0}},
+            "truth 'beta1' must be finite and nonzero, got 0.0",
+        ),
+        ({"truth": {"scale": 1.0, "shape": float("inf")}}, "truth 'shape' must be finite and nonzero, got inf"),
+        ({"truth": {"scale": float("nan"), "shape": 1.0}}, "truth 'scale' must be finite and nonzero, got nan"),
     ],
     ids=[
         "n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings",
         "preset-few-draws", "scenario-key-misspelt", "prior-key-misspelt", "n-fraction", "replicates-fraction",
         "replicates-bool", "seed-fraction", "covariate-sd-string", "dim-fraction", "folded-fraction",
         "shape-string", "folded-weibull", "truth-extra-key", "truth-missing-key", "truth-regression-gap",
+        "truth-zero", "truth-infinite", "truth-nan",
     ],
 )
 def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):
@@ -390,6 +430,35 @@ def test_oversize_inputs_refused_before_allocating(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert match in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score-check", "--dim", "2", "--k", "1", "--a", "1e-300"],
+        ["score-check", "--dim", "400", "--k", "1"],
+        ["prior", "--dim", "2", "--k", "1", "--a", "1e-320", "--grid", "3", "--out", "OUT"],
+        ["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "400", "--prior-a", "1e300",
+         "--out", "OUT"],
+        ["simulate", "--scenario", "SCENARIO", "--out", "OUT"],
+    ],
+    ids=["score-check-tiny-a", "score-check-dim-400", "prior-tiny-a", "fit-huge-prior", "simulate-huge-prior"],
+)
+def test_arithmetic_error_is_one_error_line(tmp_path, capsys, argv):
+    spec = ex.ScenarioSpec(
+        model="dagum",
+        truth={"a": 2.0, "b": 1.0, "p": 1.0},
+        n=15,
+        replicates=2,
+        priors=(md.PriorSpec.lomax(shape=400.0, scale=1e300),),
+        preset=(1200, 300, 5),
+    )
+    scenario = tmp_path / "huge_prior.json"
+    scenario.write_text(ex.scenario_to_json(spec))
+    places = {"OUT": str(tmp_path / "out"), "SCENARIO": str(scenario)}
+    assert run_cli(*(places.get(a, a) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Tests for the multivariate Lomax family: density, closure, sampling, identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from lomaxprior import lomax as lm
@@ -63,6 +66,19 @@ def test_spec_validation():
         lm.LomaxSpec(2, scale=0.0)
     with pytest.raises(ValueError):
         lm.LomaxSpec(2, folded=frozenset({3}))
+
+
+def test_spec_checks_folds_in_memory_independent_of_dim():
+    # the CLI builds a spec from --dim before any size cap applies
+    tracemalloc.start()
+    try:
+        lm.LomaxSpec(10**6, folded=frozenset({1, 10**6}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    with pytest.raises(ValueError, match="not a subset"):
+        lm.LomaxSpec(10**6, folded=frozenset({0}))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +150,29 @@ def test_chain_rule_with_folding():
         joint = lm.density(spec, x)
         product = lm.density(marg, [x[2], x[3]]) * lm.density(cond, [x[0], x[1]])
         assert joint == pytest.approx(product, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_log_density_chain_rule(data):
+    # log q(x) = log q_T(x_T) + log q_{S|T}(x_S) for every split of the coordinates into T and S
+    dim = data.draw(st.integers(2, 6), label="dim")
+    spec = lm.LomaxSpec(
+        dim,
+        data.draw(st.floats(0.1, 20.0), label="k"),
+        data.draw(st.floats(0.01, 100.0), label="a"),
+        data.draw(st.frozensets(st.integers(1, dim)), label="folded"),
+    )
+    t_idx = sorted(data.draw(st.sets(st.integers(1, dim), min_size=1, max_size=dim - 1), label="T"))
+    s_idx = [i for i in range(1, dim + 1) if i not in t_idx]
+    x = [
+        data.draw(st.floats(-1e3, 1e3) if i in spec.folded else st.floats(1e-3, 1e3), label=f"x{i}")
+        for i in range(1, dim + 1)
+    ]
+    joint = lm.log_density(spec, x)
+    marg = lm.log_density(lm.marginal(spec, t_idx), [x[i - 1] for i in t_idx])
+    cond = lm.log_density(lm.conditional(spec, s_idx, {i: x[i - 1] for i in t_idx}), [x[i - 1] for i in s_idx])
+    assert abs(joint - (marg + cond)) <= 1e-13 * (1.0 + abs(joint) + abs(marg) + abs(cond))
 
 
 # ---------------------------------------------------------------------------
