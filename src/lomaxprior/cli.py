@@ -10,7 +10,9 @@ working directory) and is deterministic under a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -51,8 +53,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -88,29 +90,29 @@ def cmd_prior(args) -> int:
         raise ValueError(
             f"{args.samples} samples of dimension {spec.dim} exceed {MAX_SAMPLE_VALUES} values; use fewer --samples"
         )
-    out = _outdir(args)
     wrote = []
     if args.grid:
         xmax = args.xmax or lx.univariate_quantile(spec.shape, spec.scale, 0.95)
-        axes = []
-        for i in range(spec.dim):
-            if (i + 1) in spec.folded:
-                axes.append(np.linspace(-xmax, xmax, args.grid))
-            else:
-                axes.append(np.linspace(xmax / args.grid, xmax, args.grid))
-        if spec.dim == 1:
-            rows = ((float(x), lx.density(spec, [x])) for x in axes[0])
-            header = ["x", "density"]
-        else:
-            rows = ((float(x), float(y), lx.density(spec, [x, y])) for x in axes[0] for y in axes[1])
-            header = ["x", "y", "density"]
-        path = out / "prior_grid.csv"
-        mcmc.write_csv(path, header, rows)
+        axes = [
+            np.linspace(-xmax, xmax, args.grid) if i in spec.folded else np.linspace(xmax / args.grid, xmax, args.grid)
+            for i in range(1, spec.dim + 1)
+        ]
+        # the density falls as sum |x_i| grows: if it is a float where that sum is least, it is everywhere
+        least = [float(axis[np.argmin(np.abs(axis))]) for axis in axes]
+        try:
+            peak = lx.density(spec, least)
+        except (ArithmeticError, ValueError):
+            peak = math.inf
+        if not peak < math.inf:
+            raise ValueError(f"--k {args.k} and --a {args.a} leave the density no finite float value at {least}")
+        rows = ((*map(float, pt), lx.density(spec, pt)) for pt in itertools.product(*axes))
+        path = _outdir(args) / "prior_grid.csv"
+        mcmc.write_csv(path, ["x", "y"][: spec.dim] + ["density"], rows)
         wrote.append(path)
     if args.samples:
         rng = np.random.default_rng(args.seed)
         draws = lx.sample(spec, rng, size=args.samples)
-        path = out / "prior_samples.csv"
+        path = _outdir(args) / "prior_samples.csv"
         mcmc.write_csv(path, [f"x{i+1}" for i in range(spec.dim)], draws)
         wrote.append(path)
     if not wrote:
@@ -175,7 +177,10 @@ def _fit_inputs(args):
     prior = {"kind": PRIOR_ALIASES[args.prior]}
     if args.prior == "lomax":
         prior.update(shape=args.prior_k, scale=args.prior_a)
-    return md.chain_inputs(args.model, md.PriorSpec.from_dict(prior), data)
+    try:
+        return md.chain_inputs(args.model, md.PriorSpec.from_dict(prior), data)
+    except md.PriorRangeError as exc:  # fit sets the prior's shape and scale by flags
+        raise ValueError(f"--prior-k/--prior-a: {exc}") from None
 
 
 def cmd_fit(args) -> int:

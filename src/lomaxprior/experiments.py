@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -315,16 +315,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
 
 
 def scenario_to_json(spec: ScenarioSpec) -> str:
-    doc = {
-        "model": spec.model,
-        "truth": spec.truth,
-        "n": spec.n,
-        "replicates": spec.replicates,
-        "priors": [p.to_dict() for p in spec.priors],
-        "preset": list(spec.preset) if isinstance(spec.preset, tuple) else spec.preset,
-        "seed": spec.seed,
-        "covariate_sd": spec.covariate_sd,
-    }
+    doc = {f.name: getattr(spec, f.name) for f in fields(ScenarioSpec)}  # json writes a tuple preset as a list
+    doc["priors"] = [p.to_dict() for p in spec.priors]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -336,7 +328,7 @@ def scenario_from_json(text: str) -> ScenarioSpec:
     unknown = [key for key in doc if key not in known]
     if unknown:
         raise ValueError(f"scenario file has unknown key {unknown[0]!r}; use {known}")
-    for key in ("model", "truth", "n", "replicates", "priors"):
+    for key in (f.name for f in fields(ScenarioSpec) if f.default is MISSING):
         if key not in doc:
             raise ValueError(f"scenario file is missing {key!r}")
     if not isinstance(doc["priors"], list):

@@ -16,7 +16,7 @@ Coordinate indices (for ``folded``, ``marginal`` and ``conditional``) are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,10 +66,10 @@ class LomaxSpec:
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not self.shape > 0:
-            raise ValueError(f"shape must be > 0, got {self.shape}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.shape < math.inf:
+            raise ValueError(f"shape must be > 0 and finite, got {self.shape}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
         folded = frozenset(int(i) for i in self.folded)
         if not all(1 <= i <= self.dim for i in folded):  # no set of range(dim): dim may be huge
             raise ValueError(f"folded indices {sorted(folded)} not a subset of 1..{self.dim}")
@@ -157,24 +157,13 @@ def conditional(spec: LomaxSpec, subset, observed: dict) -> LomaxSpec:
         raise ValueError(f"subset {s} and observed indices {t} overlap")
     if set(s) | set(t) != set(range(1, spec.dim + 1)):
         raise ValueError("subset and observed indices must cover 1..d exactly")
-    if not s:
-        raise ValueError("conditional subset must be nonempty")
     shift = 0.0
     for i in t:
         v = float(observed[i])
-        if i in spec.folded:
-            shift += abs(v)
-        else:
-            if v <= 0:
-                raise ValueError(f"observed coordinate {i} must be > 0, got {v}")
-            shift += v
-    new_folded = frozenset(pos + 1 for pos, i in enumerate(s) if i in spec.folded)
-    return LomaxSpec(
-        dim=len(s),
-        shape=spec.shape + spec.dim - len(s),
-        scale=spec.scale + shift,
-        folded=new_folded,
-    )
+        if v <= 0 and i not in spec.folded:
+            raise ValueError(f"observed coordinate {i} must be > 0, got {v}")
+        shift += abs(v)
+    return replace(marginal(spec, s), shape=spec.shape + spec.dim - len(s), scale=spec.scale + shift)
 
 
 def univariate_cdf(k: float, a: float, x) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,7 +131,7 @@ class ChainOutput:
     draws: np.ndarray  # (kept, dim)
     accept_rates: np.ndarray  # per coordinate, post burn-in
     final_steps: np.ndarray
-    names: tuple[str, ...] = field(default_factory=tuple)
+    names: tuple[str, ...]
 
 
 def adapt_steps(rates, steps) -> np.ndarray:
@@ -300,8 +300,7 @@ def read_csv(path):
 
 def chain_to_csv(output: ChainOutput, path):
     """One column per coordinate; read_csv returns (names, draws)."""
-    names = output.names or [f"x{j}" for j in range(output.draws.shape[1])]
-    write_csv(path, names, output.draws)
+    write_csv(path, output.names, output.draws)
 
 
 def summaries_to_json(summaries: dict, path):

@@ -29,6 +29,7 @@ __all__ = [
     "DagumParams",
     "LinRegParams",
     "PriorSpec",
+    "PriorRangeError",
     "integer_key",
     "real_key",
     "weibull_logpdf",
@@ -139,11 +140,13 @@ def weibull_quantile_sample(params: WeibullParams, u):
     return float(out) if out.ndim == 0 else out
 
 
+def _open_uniform(n: int, rng: np.random.Generator) -> np.ndarray:
+    u = rng.random(n)  # open on both ends once 0.0 is replaced
+    return np.where(u == 0.0, 0.5, u)
+
+
 def weibull_sample(params: WeibullParams, n: int, rng: np.random.Generator):
-    # uniform() is open on both ends once 0.0 is excluded below
-    u = rng.random(n)
-    u = np.where(u == 0.0, 0.5, u)
-    return weibull_quantile_sample(params, u)
+    return weibull_quantile_sample(params, _open_uniform(n, rng))
 
 
 def weibull_loglik_grad(params: WeibullParams, data) -> np.ndarray:
@@ -298,9 +301,7 @@ def dagum_quantile_sample(params: DagumParams, u):
 
 
 def dagum_sample(params: DagumParams, n: int, rng: np.random.Generator):
-    u = rng.random(n)
-    u = np.where(u == 0.0, 0.5, u)
-    return dagum_quantile_sample(params, u)
+    return dagum_quantile_sample(params, _open_uniform(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +391,12 @@ class PriorSpec:
         if self.kind == "vague-gamma-product":
             if len(self.gamma_shapes) != len(self.gamma_rates) or not self.gamma_shapes:
                 raise ValueError("gamma prior needs matching shape/rate tuples")
-            if min(self.gamma_shapes) <= 0 or min(self.gamma_rates) <= 0:
-                raise ValueError("gamma hyperparameters must be > 0")
-        if self.c <= 0 or self.g <= 0:
-            raise ValueError("c and g must be > 0")
+            for key, values in (("shapes", self.gamma_shapes), ("rates", self.gamma_rates)):
+                if not all(0 < v < math.inf for v in values):
+                    raise ValueError(f"gamma {key} must be > 0 and finite, got {list(values)}")
+        for key in ("c", "g"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be > 0 and finite, got {getattr(self, key)}")
 
     # one constructor per kind ---------------------------------------------------
 
@@ -437,17 +440,12 @@ class PriorSpec:
     # scenario-file form -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The JSON object a scenario file stores; ``design`` is not stored."""
+        """The JSON object a scenario file stores: the kind's PRIOR_KINDS keys that are not None."""
         out = {"kind": self.kind}
-        if self.kind == "lomax":
-            given = dict(dim=self.dim, shape=self.shape, scale=self.scale, folded=self.folded)
-            out.update((key, sorted(v) if key == "folded" else v) for key, v in given.items() if v is not None)
-        elif self.kind == "vague-gamma-product":
-            out.update(shapes=list(self.gamma_shapes), rates=list(self.gamma_rates))
-        elif self.kind == "vague-normal-sigma":
-            out.update(c=self.c)
-        elif self.kind == "zellner-g":
-            out.update(g=self.g)
+        for key in PRIOR_KINDS[self.kind][1]:
+            v = getattr(self, _FIELD_OF_KEY.get(key, key))
+            if v is not None:
+                out[key] = sorted(v) if isinstance(v, frozenset) else list(v) if isinstance(v, tuple) else v
         return out
 
     @staticmethod
@@ -477,6 +475,7 @@ PRIOR_KINDS = {
     "vague-normal-sigma": (PriorSpec.vague_normal, ("c",)),
     "zellner-g": (PriorSpec.zellner, ("g",)),
 }
+_FIELD_OF_KEY = {"shapes": "gamma_shapes", "rates": "gamma_rates"}  # the keys not named as their field
 
 
 def _gamma_log_norm(shape, rate) -> float:
@@ -499,6 +498,24 @@ def _gamma_logpdf(x, shape, rate, log_norm):
 # size d: between two lookups of the sampler's current state, a sweep over d
 # coordinates looks up at most d - 1 other keys.  A cached value holds
 # floats, never a view of the caller's vector.
+
+
+class PriorRangeError(ValueError):
+    """A Lomax prior whose normalizing constant a^k k(k+1)...(k+d-1) is not a positive finite float."""
+
+
+def _log_constant(spec: LomaxSpec) -> float:
+    """log normalizing_constant(spec), or a PriorRangeError naming the shape and scale."""
+    try:
+        c = normalizing_constant(spec)
+    except OverflowError:
+        c = math.inf
+    if not 0 < c < math.inf:
+        raise PriorRangeError(
+            f"lomax prior shape {spec.shape!r} and scale {spec.scale!r} put the normalizing constant"
+            f" a^k k(k+1)...(k+d-1) of {spec.dim} coordinates outside the float range"
+        )
+    return math.log(c)
 
 
 def _lomax_for(prior: PriorSpec, support, model: str) -> LomaxSpec:
@@ -568,7 +585,7 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
 
     if prior.kind == "lomax":
         spec = _lomax_for(prior, support, "Dagum")
-        const = math.log(normalizing_constant(spec))
+        const = _log_constant(spec)
         expo = spec.shape + 3.0
         a0 = spec.scale
 
@@ -633,7 +650,7 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     # term is cached with the residual sum of squares
     if kind == "lomax":
         spec = _lomax_for(prior, support, "regression")
-        const = math.log(normalizing_constant(spec))
+        const = _log_constant(spec)
         expo = spec.shape + spec.dim
         a0 = spec.scale
 

@@ -76,10 +76,7 @@ class DensityField:
     """A positive density on the open positive orthant with its first partials."""
 
     density: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad(x), dtype=float)
+    grad: Callable[[np.ndarray], np.ndarray]  # a float64 array
 
 
 def lomax_field(spec: LomaxSpec) -> DensityField:
@@ -199,7 +196,7 @@ def _partial_phi_component(spec: AlphaSpec, field: DensityField, x: np.ndarray, 
     q = field.density(x)
     if not np.isfinite(q) or q <= 1e-300:
         raise FloatingPointError(f"density underflow at stencil point {_one_line(x)}")
-    u = field.gradient(x) / q
+    u = field.grad(x) / q
     if u[i] == 0.0:
         raise ValueError("alpha is singular where a component of u is zero")
     return -spec.exponent * u[i] ** (-(spec.exponent + 1))
@@ -220,7 +217,7 @@ def score(spec: AlphaSpec, field: DensityField, x) -> float:
     q0 = field.density(x)
     if not np.isfinite(q0) or q0 <= 1e-300:
         raise FloatingPointError(f"density underflow at {_one_line(x)}")
-    dq, _ = phi_partials(spec, q0, field.gradient(x))
+    dq, _ = phi_partials(spec, q0, field.grad(x))
     total = -dq
 
     def central(i, step):
@@ -257,8 +254,8 @@ def score_grid(spec: AlphaSpec, field: DensityField, points=None) -> np.ndarray:
 def _bregman_integrand(spec, field_p, field_q, x):
     p = field_p.density(x)
     q = field_q.density(x)
-    gp = field_p.gradient(x)
-    gq = field_q.gradient(x)
+    gp = field_p.grad(x)
+    gq = field_q.grad(x)
     dq, dg = phi_partials(spec, q, gq)
     # phi(p) -> 0 as p -> 0 with bounded gp/p; guard the underflowed far field
     phi_p = phi(spec, p, gp) if p > 1e-300 else 0.0

@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,31 @@ def simulate_metrics(tmp_path, label, doc):
     return (tmp_path / label / "metrics.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags, replicates, changes",
+    [
+        ([], 2, {}),
+        (["--seed", "11"], 2, {"seed": 11}),
+        (["--seed", "0"], 2, {"seed": 0}),
+        (["--full-scale"], 2, {"preset": "full", "replicates": 250}),
+        (["--full-scale"], 300, {"preset": "full"}),
+        (["--full-scale", "--seed", "-3"], 7, {"preset": "full", "replicates": 250, "seed": -3}),
+    ],
+    ids=["none", "seed", "seed-zero", "full-scale", "full-scale-keeps-more-replicates", "both"],
+)
+def test_simulate_seed_and_full_scale_overrides(tmp_path, monkeypatch, flags, replicates, changes):
+    path = scenario_file(tmp_path, reps=replicates)
+    ran = []
+
+    def run_scenario(spec, workers):  # records the spec instead of running 250 replicates
+        ran.append(spec)
+        return ex.MetricsTable()
+
+    monkeypatch.setattr(cli.ex, "run_scenario", run_scenario)
+    assert run_cli("simulate", "--scenario", str(path), *flags, "--out", str(tmp_path / "o")) == 0
+    assert ran == [replace(ex.scenario_from_json(path.read_text()), **changes)]
+
+
 @pytest.mark.parametrize("name", ["weibull", "dagum", "linreg"])
 def test_simulate_derives_lomax_prior(tmp_path, name):
     """A scenario's {"kind": "lomax"} is the explicit prior of docs/: metrics.csv keeps every byte."""
@@ -459,6 +486,98 @@ def test_arithmetic_error_is_one_error_line(tmp_path, capsys, argv):
     assert run_cli(*(places.get(a, a) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["prior", "--dim", "2", "--k", "1", "--a", "1e-320", "--grid", "3"], ["--k 1.0", "--a 1e-320"]),
+        (["prior", "--dim", "1", "--k", "1", "--a", "1e-320", "--grid", "3", "--samples", "5"], ["--k 1.0", "--a 1e-320"]),
+        # only the points nearest the origin overflow; a folded axis reaches them after other rows
+        (["prior", "--dim", "1", "--k", "1", "--a", "1e-320", "--grid", "3", "--xmax", "1e-314"], ["--k", "--a"]),
+        (["prior", "--dim", "1", "--folded", "1", "--a", "1e-320", "--grid", "3", "--xmax", "1e-314"], ["--k", "--a"]),
+        (["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "400", "--prior-a", "1e300"],
+         ["--prior-k", "--prior-a", "shape 400.0", "scale 1e+300"]),
+        (["fit", "--model", "linreg", "--data", "DATA", "--prior-k", "300", "--prior-a", "1e-300"],
+         ["--prior-k", "--prior-a", "shape 300.0", "scale 1e-300"]),
+        (["simulate", "--scenario", "SCENARIO"], ["shape 400.0", "scale 1e+300"]),
+    ],
+    ids=[
+        "prior-tiny-a",
+        "prior-grid-and-samples",
+        "prior-overflow-near-origin",
+        "prior-folded-overflow-at-origin",
+        "fit-dagum-huge-prior",
+        "fit-linreg-tiny-prior",
+        "simulate-huge-prior",
+    ],
+)
+def test_out_of_range_prior_names_its_inputs_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, names):
+    spec = ex.ScenarioSpec(
+        model="dagum",
+        truth={"a": 2.0, "b": 1.0, "p": 1.0},
+        n=15,
+        replicates=2,
+        priors=(md.PriorSpec.vague_gamma(), md.PriorSpec.lomax(shape=400.0, scale=1e300)),
+        preset=(1200, 300, 5),
+    )
+    places = {"SCENARIO": tmp_path / "huge_prior.json", "DATA": tmp_path / "xy.csv"}
+    places["SCENARIO"].write_text(ex.scenario_to_json(spec))
+    places["DATA"].write_text("x,y\n" + "".join(f"{i},{2 * i + (-1) ** i}\n" for i in range(10)))
+    monkeypatch.setattr(ex, "run_chain", _no_allocation)
+    monkeypatch.setattr(mcmc, "run_chain", _no_allocation)
+    out = tmp_path / "out"
+    assert run_cli(*(str(places.get(a, a)) for a in argv), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names), err
+    assert not out.exists()
+
+
+def test_prior_grid_away_from_tiny_scale_is_written(tmp_path):
+    # the density overflows near the origin only: a grid that keeps away from it is written
+    out = tmp_path / "o"
+    assert run_cli("prior", "--dim", "1", "--k", "1", "--a", "1e-200", "--grid", "3", "--xmax", "1", "--out", str(out)) == 0
+    body = np.loadtxt(out / "prior_grid.csv", delimiter=",", skiprows=1)
+    assert body.shape == (3, 2) and np.all(np.isfinite(body)) and np.all(body[:, 1] > 0)
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--prior-a", "inf"), ("--prior-k", "nan"), ("--prior-a", "1e309")], ids=["a-inf", "k-nan", "a-1e309"]
+)
+def test_fit_refuses_non_finite_prior_flag(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(mcmc, "run_chain", _no_allocation)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit", "--model", "weibull", "--data", "builtin:breakdown34kv", flag, value, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"argument {flag}: expected a positive finite number, got {value}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "model, truth, prior, match",
+    [
+        ("linreg", {"beta0": 1.0, "beta1": 2.0, "sigma2": 1.0}, {"kind": "vague-normal-sigma", "c": math.nan},
+         "bad 'vague-normal-sigma' prior: c must be > 0 and finite, got nan"),
+        ("dagum", {"a": 2.0, "b": 1.0, "p": 1.0}, {"kind": "vague-gamma-product", "shapes": [math.nan, 1, 1]},
+         "bad 'vague-gamma-product' prior: gamma shapes must be > 0 and finite"),
+        ("weibull", {"scale": 1.0, "shape": 1.0}, {"kind": "lomax", "scale": math.inf},
+         "bad 'lomax' prior: scale must be > 0 and finite, got inf"),
+    ],
+    ids=["linreg-c-nan", "dagum-gamma-shapes-nan", "weibull-lomax-scale-inf"],
+)
+def test_simulate_refuses_non_finite_prior_key(tmp_path, capsys, monkeypatch, model, truth, prior, match):
+    doc = {"model": model, "truth": truth, "n": 15, "replicates": 4, "priors": [prior]}
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity, which json.loads reads back
+    monkeypatch.setattr(ex, "_draw_dataset", _no_allocation)
+    assert run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

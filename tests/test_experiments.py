@@ -1,13 +1,17 @@
 """Tests for the replication harness: metrics, determinism, datasets."""
 
+import collections
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomaxprior import experiments as ex
 from lomaxprior import models as md
+from lomaxprior.mcmc import MIN_DRAWS, ChainInitError
 
 SCENARIO_FILES = sorted((Path(__file__).parent.parent / "docs").glob("scenario_*.json"))
 
@@ -189,6 +193,48 @@ def test_pool_starts_no_more_workers_than_replicates(monkeypatch, replicates, wo
     assert _RecordingPool.sizes == sizes
 
 
+def _run_chain_failing_on(spec, failing):
+    """ex.run_chain, raising ChainInitError on the last prior's chain of each replicate in ``failing``."""
+    replicate_of = {ex._chain_seed(spec.seed, r): r for r in range(spec.replicates)}
+    calls = collections.Counter()
+    run_chain = ex.run_chain
+
+    def fake(target, config):
+        r = replicate_of[config.seed]
+        calls[r] += 1
+        if r in failing and calls[r] % len(spec.priors) == 0:
+            raise ChainInitError("log posterior not finite at initial point")
+        return run_chain(target, config)
+
+    return fake
+
+
+def test_failed_replicate_below_cap_is_dropped(monkeypatch):
+    spec = tiny_weibull_spec(replicates=101, n=10, preset=(100, 0, 1))
+    kept = [ex._run_replicate(spec, r) for r in range(spec.replicates) if r != 37]
+    monkeypatch.setattr(ex, "run_chain", _run_chain_failing_on(spec, {37}))
+    assert ex._run_replicate(spec, 37) is None
+    table = ex.run_scenario(spec)
+    assert (table.replicates_used, table.replicates_failed) == (100, 1)
+    # the aggregates are those of the 100 replicates that ran
+    stacked = np.stack(kept)
+    for i, label in enumerate(("lomax", "weibull-reference")):
+        for j, name in enumerate(("scale", "shape")):
+            row = table.get(label, name)
+            assert row.rel_rmse == ex.relative_rmse(stacked[:, i, j, 0], 1.0)
+            assert row.mean_width == float(np.mean(stacked[:, i, j, 2] - stacked[:, i, j, 1]))
+
+
+@pytest.mark.parametrize(
+    "replicates, failing", [(100, {5}), (200, {0, 199}), (3, {1})], ids=["1-of-100", "2-of-200", "1-of-3"]
+)
+def test_failed_replicates_at_cap_raise(monkeypatch, replicates, failing):
+    spec = tiny_weibull_spec(replicates=replicates, n=10, preset=(100, 0, 1))
+    monkeypatch.setattr(ex, "run_chain", _run_chain_failing_on(spec, failing))
+    with pytest.raises(ex.ScenarioError, match=f"^{len(failing)}/{replicates} replicates failed chain initialization$"):
+        ex.run_scenario(spec)
+
+
 def test_run_scenario_single_replicate_coverage_degenerate():
     tab = ex.run_scenario(tiny_weibull_spec(replicates=1))
     assert tab.replicates_used == 1
@@ -274,6 +320,49 @@ def test_scenario_json_round_trip():
     assert ex.scenario_from_json(ex.scenario_to_json(spec)) == spec
     explicit = tiny_weibull_spec(preset=(900, 100, 2))
     assert ex.scenario_from_json(ex.scenario_to_json(explicit)) == explicit
+
+
+_PRIORS = (
+    md.PriorSpec.lomax(),
+    md.PriorSpec.lomax(shape=2.5, folded=()),
+    md.PriorSpec.lomax(4, scale=0.5, folded={1, 2, 3}),
+    md.PriorSpec.weibull_reference(),
+    md.PriorSpec.vague_gamma(shapes=(0.1, 0.2, 0.3)),
+    md.PriorSpec.vague_normal(c=10.0),
+    md.PriorSpec.zellner(g=50.0),
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _schedules(draw):
+    """An [iterations, burn_in, thin] preset that keeps at least MIN_DRAWS draws."""
+    burn_in, thin = draw(st.integers(0, 10**5)), draw(st.integers(1, 50))
+    return burn_in + thin * draw(st.integers(MIN_DRAWS, 10**5)), burn_in, thin
+
+
+@st.composite
+def _scenarios(draw):
+    model = draw(st.sampled_from(md.MODELS))
+    names = md.parameters(model, draw(st.integers(1, 3)))[0]
+    return ex.ScenarioSpec(
+        model=model,
+        truth={name: draw(_finite.filter(bool)) for name in names},
+        n=draw(st.integers(2, ex.MAX_SAMPLE_SIZE)),
+        replicates=draw(st.integers(1, ex.MAX_REPLICATES)),
+        priors=draw(st.lists(st.sampled_from(_PRIORS), min_size=1, max_size=3)),
+        preset=draw(st.sampled_from(sorted(ex.CHAIN_PRESETS)) | _schedules()),
+        seed=draw(st.integers(0, 2**63)),
+        covariate_sd=draw(_finite),
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_scenarios())
+def test_scenario_json_round_trip_property(spec):
+    text = ex.scenario_to_json(spec)
+    assert ex.scenario_from_json(text) == spec
+    assert ex.scenario_to_json(ex.scenario_from_json(text)) == text
 
 
 @pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)

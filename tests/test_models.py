@@ -1,9 +1,12 @@
 """Tests for model likelihoods, samplers, MLE, and the competing priors."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from lomaxprior import models as md
@@ -83,6 +86,21 @@ def test_weibull_mle_consistency():
 def test_weibull_mle_rejects_degenerate():
     with pytest.raises(ValueError):
         md.weibull_mle([2.0, 2.0, 2.0])
+
+
+def test_weibull_init_falls_back_to_mean(monkeypatch):
+    # the MLE refuses tied data (ValueError) ...
+    assert md.weibull_init([2.0, 2.0, 2.0]).tolist() == [2.0, 1.0]
+    data = builtin_dataset("breakdown34kv")
+    mle = md.weibull_mle(data)
+    assert md.weibull_init(data).tolist() == [mle.scale, mle.shape]
+
+    # ... or misses stationarity (RuntimeError): either way the chain starts at (mean, 1)
+    def no_mle(x):
+        raise RuntimeError("Weibull MLE did not reach stationarity")
+
+    monkeypatch.setattr(md, "weibull_mle", no_mle)
+    assert md.weibull_init(data).tolist() == [float(np.mean(data)), 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +339,14 @@ def test_prior_from_dict_defaults():
         ({"kind": "lomax", "dim": 2, "scale": False}, "'scale' must be a number, got False"),
         ({"kind": "vague-gamma-product", "rates": [0.1, True, 0.1]}, "'rates' must be a number"),
         ({"kind": "vague-normal-sigma", "c": "1e6"}, "'c' must be a number"),
+        ({"kind": "lomax", "shape": math.inf}, "bad 'lomax' prior: shape must be > 0 and finite, got inf"),
+        ({"kind": "lomax", "dim": 2, "scale": math.nan}, "bad 'lomax' prior: scale must be > 0 and finite, got nan"),
+        ({"kind": "vague-normal-sigma", "c": math.nan}, "c must be > 0 and finite, got nan"),
+        ({"kind": "vague-normal-sigma", "c": math.inf}, "c must be > 0 and finite, got inf"),
+        ({"kind": "zellner-g", "g": math.nan}, "g must be > 0 and finite, got nan"),
+        ({"kind": "zellner-g", "g": -math.inf}, "g must be > 0 and finite, got -inf"),
+        ({"kind": "vague-gamma-product", "shapes": [math.nan, 1, 1]}, "gamma shapes must be > 0 and finite"),
+        ({"kind": "vague-gamma-product", "rates": [1, 1, math.inf]}, "gamma rates must be > 0 and finite"),
     ],
     # the ids pytest once generated, written out: a case can go without renaming the others
     ids=[
@@ -345,11 +371,50 @@ def test_prior_from_dict_defaults():
         "d18-'scale' must be a number, got False",
         "d19-'rates' must be a number",
         "d20-'c' must be a number",
+        "lomax-shape-inf",
+        "lomax-scale-nan",
+        "vague-normal-c-nan",
+        "vague-normal-c-inf",
+        "zellner-g-nan",
+        "zellner-g-minus-inf",
+        "vague-gamma-shapes-nan",
+        "vague-gamma-rates-inf",
     ],
 )
 def test_prior_from_dict_rejects(d, match):
     with pytest.raises(ValueError, match=match):
         md.PriorSpec.from_dict(d)
+
+
+_positive = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def _lomax_priors(draw):
+    """A Lomax prior whose dim and folded are each given or left to the model."""
+    dim = draw(st.none() | st.integers(1, 8))
+    folded = draw(st.none() | st.frozensets(st.integers(1, dim or 8)))
+    given_keys = {key: v for key, v in (("dim", dim), ("folded", folded)) if v is not None}
+    return md.PriorSpec.lomax(shape=draw(_positive), scale=draw(_positive), **given_keys)
+
+
+_priors = st.one_of(
+    _lomax_priors(),
+    st.just(md.PriorSpec.weibull_reference()),
+    st.integers(1, 4).flatmap(
+        lambda m: st.builds(md.PriorSpec.vague_gamma, *[st.lists(_positive, min_size=m, max_size=m)] * 2)
+    ),
+    st.builds(md.PriorSpec.vague_normal, _positive),
+    st.builds(md.PriorSpec.zellner, _positive),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_priors)
+def test_prior_dict_round_trip_property(prior):
+    doc = prior.to_dict()
+    assert md.PriorSpec.from_dict(json.loads(json.dumps(doc))) == prior
+    assert md.PriorSpec.from_dict(doc).to_dict() == doc
 
 
 def test_derived_lomax_prior_round_trips():
