@@ -179,8 +179,8 @@ def _fit_inputs(args):
         prior.update(shape=args.prior_k, scale=args.prior_a)
     try:
         return md.chain_inputs(args.model, md.PriorSpec.from_dict(prior), data)
-    except md.PriorRangeError as exc:  # fit sets the prior's shape and scale by flags
-        raise ValueError(f"--prior-k/--prior-a: {exc}") from None
+    except md.PriorRangeError as exc:  # fit sets the prior's shape by --prior-k
+        raise ValueError(f"--prior-k: {exc}") from None
 
 
 def cmd_fit(args) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -291,10 +292,19 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
-    """(column names, (rows, columns) float array) of a headed CSV such as write_csv writes."""
+    """(column names, (rows, columns) float array) of a headed CSV such as write_csv writes.
+
+    A ValueError naming the file refuses one with no data rows or with a value that is not finite.
+    """
     with open(path) as fh:
         names = tuple(h.strip() for h in fh.readline().strip().split(","))
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if body.size == 0:
+        raise ValueError(f"{path} has no data rows below its header")
+    if not np.isfinite(body).all():
+        raise ValueError(f"{path} holds a value that is not a finite number")
     return names, body
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec, normalizing_constant
+from lomaxprior.lomax import LomaxSpec
 from lomaxprior.mcmc import PosteriorTarget, read_csv
 
 __all__ = [
@@ -501,25 +501,16 @@ def _gamma_logpdf(x, shape, rate, log_norm):
 
 
 class PriorRangeError(ValueError):
-    """A Lomax prior whose normalizing constant a^k k(k+1)...(k+d-1) is not a positive finite float."""
+    """A Lomax prior whose shape puts k(k+1)...(k+d-1) / 2^|folded| outside the positive floats."""
 
 
-def _log_constant(spec: LomaxSpec) -> float:
-    """log normalizing_constant(spec), or a PriorRangeError naming the shape and scale."""
-    try:
-        c = normalizing_constant(spec)
-    except OverflowError:
-        c = math.inf
-    if not 0 < c < math.inf:
-        raise PriorRangeError(
-            f"lomax prior shape {spec.shape!r} and scale {spec.scale!r} put the normalizing constant"
-            f" a^k k(k+1)...(k+d-1) of {spec.dim} coordinates outside the float range"
-        )
-    return math.log(c)
+def _lomax_for(prior: PriorSpec, support, model: str) -> tuple[float, float, float]:
+    """(const, expo, a0) of the prior's Lomax log density const - expo log(a0 + sum |v|) on ``support``.
 
-
-def _lomax_for(prior: PriorSpec, support, model: str) -> LomaxSpec:
-    """The prior's LomaxSpec on ``support``: one coordinate per parameter, folded where it is the real line."""
+    One coordinate per parameter, folded where its support is the real line.
+    The constant is taken in log space, log(a) k + log(k(k+1)...(k+d-1) / 2^|folded|),
+    so only the shape can leave the float range.
+    """
     dim, folded = len(support), frozenset(i for i, s in enumerate(support, 1) if s == "real")
     got = (dim if prior.dim is None else prior.dim, folded if prior.folded is None else prior.folded)
     if got != (dim, folded):
@@ -527,7 +518,14 @@ def _lomax_for(prior: PriorSpec, support, model: str) -> LomaxSpec:
             f"the {model} model needs a lomax prior of dimension {dim} folded on {sorted(folded)},"
             f" got dimension {got[0]} folded on {sorted(got[1])}"
         )
-    return LomaxSpec(dim, prior.shape, prior.scale, folded)
+    k, a = prior.shape, prior.scale
+    ratio = math.prod(k + j for j in range(dim)) / 2 ** len(folded)
+    if not 0 < ratio < math.inf:
+        raise PriorRangeError(
+            f"lomax prior shape {k!r} puts k(k+1)...(k+d-1) / 2^|folded| of {dim} coordinates"
+            f" outside the float range"
+        )
+    return math.log(a) * k + math.log(ratio), k + dim, a
 
 
 def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
@@ -538,12 +536,7 @@ def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:
     names, support = parameters("weibull")
 
     if prior.kind == "lomax":
-        spec = _lomax_for(prior, support, "Weibull")
-        const = math.log(spec.scale) * spec.shape + math.log(
-            spec.shape * (spec.shape + 1.0)
-        )
-        expo = spec.shape + 2.0
-        a0 = spec.scale
+        const, expo, a0 = _lomax_for(prior, support, "Weibull")
 
         def logp(th, be):
             return const - expo * math.log(a0 + th + be)
@@ -584,10 +577,7 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     names, support = parameters("dagum")
 
     if prior.kind == "lomax":
-        spec = _lomax_for(prior, support, "Dagum")
-        const = _log_constant(spec)
-        expo = spec.shape + 3.0
-        a0 = spec.scale
+        const, expo, a0 = _lomax_for(prior, support, "Dagum")
 
         def logp(a, b, p):
             return const - expo * math.log(a0 + a + b + p)
@@ -649,10 +639,7 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     # each prior's log density is logp(coef_term(coef), var): the coefficient
     # term is cached with the residual sum of squares
     if kind == "lomax":
-        spec = _lomax_for(prior, support, "regression")
-        const = _log_constant(spec)
-        expo = spec.shape + spec.dim
-        a0 = spec.scale
+        const, expo, a0 = _lomax_for(prior, support, "regression")
 
         def coef_term(coef):
             return float(np.add.reduce(np.abs(coef)))

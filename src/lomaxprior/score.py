@@ -196,10 +196,7 @@ def _partial_phi_component(spec: AlphaSpec, field: DensityField, x: np.ndarray, 
     q = field.density(x)
     if not np.isfinite(q) or q <= 1e-300:
         raise FloatingPointError(f"density underflow at stencil point {_one_line(x)}")
-    u = field.grad(x) / q
-    if u[i] == 0.0:
-        raise ValueError("alpha is singular where a component of u is zero")
-    return -spec.exponent * u[i] ** (-(spec.exponent + 1))
+    return alpha_grad(spec, field.grad(x) / q)[i]
 
 
 def score(spec: AlphaSpec, field: DensityField, x) -> float:

@@ -459,17 +459,46 @@ def test_oversize_inputs_refused_before_allocating(tmp_path, capsys, monkeypatch
     assert match in err
 
 
+XY_CSV = "x,y\n" + "".join(f"{i},{2 * i + (-1) ** i}\n" for i in range(10))  # a regression's data
+
+# data files test_arithmetic_error_is_one_error_line reads: each lacks a data row or holds a non-finite value
+BAD_DATA = {
+    "EMPTY": "",
+    "HEADER-ONLY": "x\n",
+    "NAN": "x\n1.5\nnan\n2.5\n",
+    "INF": "x\n1.5\ninf\n2.5\n",
+    "XY-NAN": "x,y\n" + "".join(f"{i},{'nan' if i == 3 else 2 * i}\n" for i in range(10)),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning on the way to the error line fails the case
 @pytest.mark.parametrize(
     "argv",
     [
         ["score-check", "--dim", "2", "--k", "1", "--a", "1e-300"],
         ["score-check", "--dim", "400", "--k", "1"],
         ["prior", "--dim", "2", "--k", "1", "--a", "1e-320", "--grid", "3", "--out", "OUT"],
-        ["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "400", "--prior-a", "1e300",
+        ["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "1e120", "--prior-a", "1e300",
          "--out", "OUT"],
         ["simulate", "--scenario", "SCENARIO", "--out", "OUT"],
+        ["fit", "--model", "weibull", "--data", "EMPTY", "--out", "OUT"],
+        ["fit", "--model", "weibull", "--data", "HEADER-ONLY", "--out", "OUT"],
+        ["fit", "--model", "weibull", "--data", "NAN", "--out", "OUT"],
+        ["fit", "--model", "dagum", "--data", "INF", "--out", "OUT"],
+        ["fit", "--model", "linreg", "--data", "XY-NAN", "--out", "OUT"],
     ],
-    ids=["score-check-tiny-a", "score-check-dim-400", "prior-tiny-a", "fit-huge-prior", "simulate-huge-prior"],
+    ids=[
+        "score-check-tiny-a",
+        "score-check-dim-400",
+        "prior-tiny-a",
+        "fit-huge-prior",
+        "simulate-huge-prior",
+        "fit-empty-data",
+        "fit-header-only-data",
+        "fit-nan-data",
+        "fit-inf-data",
+        "fit-linreg-nan-data",
+    ],
 )
 def test_arithmetic_error_is_one_error_line(tmp_path, capsys, argv):
     spec = ex.ScenarioSpec(
@@ -477,15 +506,20 @@ def test_arithmetic_error_is_one_error_line(tmp_path, capsys, argv):
         truth={"a": 2.0, "b": 1.0, "p": 1.0},
         n=15,
         replicates=2,
-        priors=(md.PriorSpec.lomax(shape=400.0, scale=1e300),),
+        priors=(md.PriorSpec.lomax(shape=1e120, scale=1e300),),
         preset=(1200, 300, 5),
     )
     scenario = tmp_path / "huge_prior.json"
     scenario.write_text(ex.scenario_to_json(spec))
     places = {"OUT": str(tmp_path / "out"), "SCENARIO": str(scenario)}
+    for name, text in BAD_DATA.items():
+        places[name] = str(tmp_path / f"{name.lower()}.csv")
+        Path(places[name]).write_text(text)
     assert run_cli(*(places.get(a, a) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(places[a] in err for a in argv if a in BAD_DATA), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -496,11 +530,16 @@ def test_arithmetic_error_is_one_error_line(tmp_path, capsys, argv):
         # only the points nearest the origin overflow; a folded axis reaches them after other rows
         (["prior", "--dim", "1", "--k", "1", "--a", "1e-320", "--grid", "3", "--xmax", "1e-314"], ["--k", "--a"]),
         (["prior", "--dim", "1", "--folded", "1", "--a", "1e-320", "--grid", "3", "--xmax", "1e-314"], ["--k", "--a"]),
-        (["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "400", "--prior-a", "1e300"],
-         ["--prior-k", "--prior-a", "shape 400.0", "scale 1e+300"]),
-        (["fit", "--model", "linreg", "--data", "DATA", "--prior-k", "300", "--prior-a", "1e-300"],
-         ["--prior-k", "--prior-a", "shape 300.0", "scale 1e-300"]),
-        (["simulate", "--scenario", "SCENARIO"], ["shape 400.0", "scale 1e+300"]),
+        # k(k+1)(k+2) overflows; the scale never leaves the float range in log space
+        (["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "1e120", "--prior-a", "1e300"],
+         ["--prior-k", "shape 1e+120"]),
+        # k(k+1)(k+2) / 4, with two folded coefficients, underflows to 0
+        (["fit", "--model", "linreg", "--data", "DATA", "--prior-k", "5e-324", "--prior-a", "1e-300"],
+         ["--prior-k", "shape 5e-324"]),
+        (["simulate", "--scenario", "SCENARIO"], ["shape 1e+120"]),
+        (["fit", "--model", "weibull", "--data", "builtin:breakdown34kv", "--prior-k", "1e200"], ["--prior-k", "shape 1e+200"]),
+        (["fit", "--model", "dagum", "--data", "builtin:breakdown34kv", "--prior-k", "1e200"], ["--prior-k", "shape 1e+200"]),
+        (["fit", "--model", "linreg", "--data", "DATA", "--prior-k", "1e200"], ["--prior-k", "shape 1e+200"]),
     ],
     ids=[
         "prior-tiny-a",
@@ -510,6 +549,9 @@ def test_arithmetic_error_is_one_error_line(tmp_path, capsys, argv):
         "fit-dagum-huge-prior",
         "fit-linreg-tiny-prior",
         "simulate-huge-prior",
+        "fit-weibull-huge-shape",
+        "fit-dagum-huge-shape",
+        "fit-linreg-huge-shape",
     ],
 )
 def test_out_of_range_prior_names_its_inputs_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, names):
@@ -518,12 +560,12 @@ def test_out_of_range_prior_names_its_inputs_and_writes_nothing(tmp_path, capsys
         truth={"a": 2.0, "b": 1.0, "p": 1.0},
         n=15,
         replicates=2,
-        priors=(md.PriorSpec.vague_gamma(), md.PriorSpec.lomax(shape=400.0, scale=1e300)),
+        priors=(md.PriorSpec.vague_gamma(), md.PriorSpec.lomax(shape=1e120, scale=1e300)),
         preset=(1200, 300, 5),
     )
     places = {"SCENARIO": tmp_path / "huge_prior.json", "DATA": tmp_path / "xy.csv"}
     places["SCENARIO"].write_text(ex.scenario_to_json(spec))
-    places["DATA"].write_text("x,y\n" + "".join(f"{i},{2 * i + (-1) ** i}\n" for i in range(10)))
+    places["DATA"].write_text(XY_CSV)
     monkeypatch.setattr(ex, "run_chain", _no_allocation)
     monkeypatch.setattr(mcmc, "run_chain", _no_allocation)
     out = tmp_path / "out"
@@ -531,7 +573,22 @@ def test_out_of_range_prior_names_its_inputs_and_writes_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
+    assert "--prior-a" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["weibull", "dagum", "linreg"])
+def test_fit_takes_a_scale_whose_power_overflows(tmp_path, model):
+    """a^k = 1e300^400 is beyond the floats, but its logarithm is not: every model runs the chain."""
+    data = tmp_path / "xy.csv"
+    data.write_text(XY_CSV)
+    source = str(data) if model == "linreg" else "builtin:breakdown34kv"
+    out = tmp_path / "out"
+    assert run_cli(
+        "fit", "--model", model, "--data", source, "--prior-k", "400", "--prior-a", "1e300",
+        "--iterations", "1000", "--burn-in", "500", "--thin", "5", "--out", str(out),
+    ) == 0
+    assert (out / "summaries.json").exists()
 
 
 def test_prior_grid_away_from_tiny_scale_is_written(tmp_path):

@@ -215,6 +215,17 @@ def test_reference_prior_value():
     assert target.log_post(np.array([-1.0, 1.0])) == -math.inf
 
 
+def lomax_log_prior(k, a, v, folded):
+    """k log a + sum_j log(k+j) - |F| log 2 - (k+d) log(a + sum |v|), the Lomax log density written out."""
+    d = len(v)
+    return (
+        k * math.log(a)
+        + sum(math.log(k + j) for j in range(d))
+        - folded * math.log(2.0)
+        - (k + d) * math.log(a + sum(abs(x) for x in v))
+    )
+
+
 def test_lomax_prior_value():
     prior = md.PriorSpec.lomax(4, folded={1, 2, 3})
     # y is fitted exactly at each point, so r @ r = 0 and only the variance term is left
@@ -224,6 +235,19 @@ def test_lomax_prior_value():
     # folded coefficients may be negative
     got = linreg_prior_term(X, np.array([-2.0]), prior, [-2.0, 1.0, -0.5, 2.0])
     assert got == pytest.approx(math.log(3.0) - 5.0 * math.log(1 + 2 + 1 + 0.5 + 2), rel=1e-12)
+    # every target's Lomax term, including a^k far beyond the float range
+    data = np.array([2.0])
+    for k, a in [(400.0, 1e300), (3.0, 0.5), (1.0, 1.0), (2.5, 7.0), (0.1, 1e-300)]:
+        prior = md.PriorSpec.lomax(shape=k, scale=a)
+        v = [2.0, 4.0]
+        got = prior_term(md.weibull_target(data, prior), v, md.weibull_loglik(md.WeibullParams(*v), data))
+        assert got == pytest.approx(lomax_log_prior(k, a, v, 0), rel=1e-12), (k, a)
+        v = [1.0, 2.0, 0.5]
+        got = prior_term(md.dagum_target(data, prior), v, md.dagum_loglik(md.DagumParams(*v), data))
+        assert got == pytest.approx(lomax_log_prior(k, a, v, 0), rel=1e-12), (k, a)
+        v = [-2.0, 1.0, -0.5, 2.0]
+        got = linreg_prior_term(X, np.array([-2.0]), prior, v)
+        assert got == pytest.approx(lomax_log_prior(k, a, v, 3), rel=1e-12), (k, a)
 
 
 def test_vague_gamma_prior_matches_scipy():
