@@ -179,7 +179,7 @@ def _fit_inputs(args):
         prior.update(shape=args.prior_k, scale=args.prior_a)
     try:
         return md.chain_inputs(args.model, md.PriorSpec.from_dict(prior), data)
-    except md.PriorRangeError as exc:  # fit sets the prior's shape by --prior-k
+    except lx.PriorRangeError as exc:  # fit sets the prior's shape by --prior-k
         raise ValueError(f"--prior-k: {exc}") from None
 
 

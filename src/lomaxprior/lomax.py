@@ -23,7 +23,9 @@ import numpy as np
 __all__ = [
     "LomaxSpec",
     "QuadratureError",
+    "PriorRangeError",
     "normalizing_constant",
+    "log_normalizing_constant",
     "log_density",
     "density",
     "marginal",
@@ -48,6 +50,10 @@ MIXTURE_RTOL = 1e-6  # its required agreement with the closed form
 
 class QuadratureError(RuntimeError):
     """Raised when a numerical quadrature misses its accuracy contract."""
+
+
+class PriorRangeError(ValueError):
+    """A Lomax shape that puts k(k+1)...(k+d-1) / 2^|folded| outside the positive floats."""
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,17 @@ def normalizing_constant(spec: LomaxSpec) -> float:
     return c / 2 ** len(spec.folded)
 
 
+def log_normalizing_constant(spec: LomaxSpec) -> float:
+    """log(a) k + log(k(k+1)...(k+d-1) / 2^|folded|): without a^k, only the shape can leave the float range."""
+    ratio = _rising_factorial(spec.shape, spec.dim) / 2 ** len(spec.folded)
+    if not 0 < ratio < math.inf:
+        raise PriorRangeError(
+            f"lomax prior shape {spec.shape!r} puts k(k+1)...(k+d-1) / 2^|folded| of {spec.dim} coordinates"
+            " outside the float range"
+        )
+    return math.log(spec.scale) * spec.shape + math.log(ratio)
+
+
 def _abs_sum(spec: LomaxSpec, x: np.ndarray) -> float:
     """Sum of coordinates with |.| applied to folded ones; validates support."""
     total = 0.0
@@ -113,9 +130,7 @@ def log_density(spec: LomaxSpec, x) -> float:
     if x.shape != (spec.dim,):
         raise ValueError(f"x must have shape ({spec.dim},), got {x.shape}")
     s = _abs_sum(spec, x)
-    return math.log(normalizing_constant(spec)) - (spec.shape + spec.dim) * math.log(
-        spec.scale + s
-    )
+    return log_normalizing_constant(spec) - (spec.shape + spec.dim) * math.log(spec.scale + s)
 
 
 def density(spec: LomaxSpec, x) -> float:

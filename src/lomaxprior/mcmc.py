@@ -41,11 +41,6 @@ ADAPT_LOW = 0.2
 
 SUPPORTS = ("real", "positive")
 
-# run_chain decides u < exp(rhs) on the log-uniform from one np.log call per
-# block, and again with math.log where the two sides lie within this relative
-# distance: np.log may differ from math.log in the last bit
-LOG_UNIFORM_TIE = 1e-9
-
 MIN_DRAWS = 100  # retained draws below which summaries are refused
 MAX_DRAWS = 10**7  # retained draws above which a schedule is refused: run_chain holds them all
 
@@ -175,7 +170,6 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
     xs = x.tolist()  # mirror of x; x itself is what log_post sees
     win_acc = [0] * d
     post_acc = [0] * d
-    tie = LOG_UNIFORM_TIE
 
     t = 0
     while t < iterations:
@@ -183,9 +177,7 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
         eps = rng.standard_normal((block, d))
         unif = rng.random((block, d))
         shifts = (eps * steps).tolist()
-        with np.errstate(divide="ignore"):  # log(0.0) is -inf
-            log_unif = np.log(unif).tolist()
-        for row, (shift_row, lu_row) in enumerate(zip(shifts, log_unif)):
+        for shift_row, u_row in zip(shifts, unif.tolist()):
             t += 1
             burning = t <= burn_in
             acc = win_acc if burning else post_acc
@@ -200,13 +192,8 @@ def run_chain(target: PosteriorTarget, config: ChainConfig) -> ChainOutput:
                     log_corr = 0.0
                 x[j] = new
                 lp_new = float(log_post(x))
-                rhs = lp_new - lp + log_corr
-                lu = lu_row[j]
-                # near a tie, and where rhs is infinite, math.log decides
-                if abs(lu - rhs) <= tie * (1.0 + abs(rhs)):
-                    u = float(unif[row, j])
-                    lu = math.log(u) if u > 0.0 else -math.inf
-                if lu < rhs:
+                u = u_row[j]
+                if (math.log(u) if u > 0.0 else -math.inf) < lp_new - lp + log_corr:
                     lp = lp_new
                     xs[j] = new
                     acc[j] += 1
@@ -294,18 +281,34 @@ def write_csv(path, header, rows):
 def read_csv(path):
     """(column names, (rows, columns) float array) of a headed CSV such as write_csv writes.
 
-    A ValueError naming the file refuses one with no data rows or with a value that is not finite.
+    A ValueError naming the file refuses one with no data rows, with a value that is not finite,
+    or with a row that is not one number per column, whose line it names.
     """
     with open(path) as fh:
         names = tuple(h.strip() for h in fh.readline().strip().split(","))
+        lines = fh.readlines()
+    try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            body = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        bad = (f"line {number}: {line.strip()!r} is not one number per column of {list(names)}"
+               for number, line in enumerate(lines, 2) if not _is_row(line, len(names)))
+        raise ValueError(f"{path} {next(bad, exc)}") from None
     if body.size == 0:
         raise ValueError(f"{path} has no data rows below its header")
     if not np.isfinite(body).all():
         raise ValueError(f"{path} holds a value that is not a finite number")
     return names, body
+
+
+def _is_row(line: str, width: int) -> bool:
+    """Whether loadtxt skips ``line`` (blank or a comment) or it holds ``width`` comma-separated numbers."""
+    text = line.split("#", 1)[0].strip()
+    try:
+        return not text or len([float(cell) for cell in text.split(",")]) == width
+    except ValueError:
+        return False
 
 
 def chain_to_csv(output: ChainOutput, path):

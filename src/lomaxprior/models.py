@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec
+from lomaxprior.lomax import LomaxSpec, log_normalizing_constant
 from lomaxprior.mcmc import PosteriorTarget, read_csv
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "DagumParams",
     "LinRegParams",
     "PriorSpec",
-    "PriorRangeError",
     "integer_key",
     "real_key",
     "weibull_logpdf",
@@ -480,10 +479,7 @@ _FIELD_OF_KEY = {"shapes": "gamma_shapes", "rates": "gamma_rates"}  # the keys n
 
 def _gamma_log_norm(shape, rate) -> float:
     """shape log(rate) - log Gamma(shape), the x-free part of the Gamma log density."""
-    # scipy is imported here only: math.lgamma differs from gammaln in the last bits
-    from scipy.special import gammaln
-
-    return float(shape * math.log(rate) - gammaln(shape))
+    return shape * math.log(rate) - math.lgamma(shape)
 
 
 def _gamma_logpdf(x, shape, rate, log_norm):
@@ -500,17 +496,9 @@ def _gamma_logpdf(x, shape, rate, log_norm):
 # floats, never a view of the caller's vector.
 
 
-class PriorRangeError(ValueError):
-    """A Lomax prior whose shape puts k(k+1)...(k+d-1) / 2^|folded| outside the positive floats."""
-
-
 def _lomax_for(prior: PriorSpec, support, model: str) -> tuple[float, float, float]:
-    """(const, expo, a0) of the prior's Lomax log density const - expo log(a0 + sum |v|) on ``support``.
-
-    One coordinate per parameter, folded where its support is the real line.
-    The constant is taken in log space, log(a) k + log(k(k+1)...(k+d-1) / 2^|folded|),
-    so only the shape can leave the float range.
-    """
+    """(const, expo, a0) of the prior's Lomax log density const - expo log(a0 + sum |v|) on ``support``:
+    one coordinate per parameter, folded where its support is the real line."""
     dim, folded = len(support), frozenset(i for i, s in enumerate(support, 1) if s == "real")
     got = (dim if prior.dim is None else prior.dim, folded if prior.folded is None else prior.folded)
     if got != (dim, folded):
@@ -518,14 +506,7 @@ def _lomax_for(prior: PriorSpec, support, model: str) -> tuple[float, float, flo
             f"the {model} model needs a lomax prior of dimension {dim} folded on {sorted(folded)},"
             f" got dimension {got[0]} folded on {sorted(got[1])}"
         )
-    k, a = prior.shape, prior.scale
-    ratio = math.prod(k + j for j in range(dim)) / 2 ** len(folded)
-    if not 0 < ratio < math.inf:
-        raise PriorRangeError(
-            f"lomax prior shape {k!r} puts k(k+1)...(k+d-1) / 2^|folded| of {dim} coordinates"
-            f" outside the float range"
-        )
-    return math.log(a) * k + math.log(ratio), k + dim, a
+    return log_normalizing_constant(LomaxSpec(dim, prior.shape, prior.scale, folded)), prior.shape + dim, prior.scale
 
 
 def weibull_target(data, prior: PriorSpec) -> PosteriorTarget:

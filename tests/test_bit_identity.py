@@ -516,8 +516,7 @@ def test_log_post_bits_match_reference_at_edge_values(case):
 
 
 # ---------------------------------------------------------------------------
-# the log-uniform rule: run_chain decides on one np.log call per block, and
-# again with math.log where the decision is within LOG_UNIFORM_TIE of a tie
+# the log-uniform rule: run_chain decides every move with math.log, never np.log
 
 
 class _NumpyWithLog:
@@ -535,14 +534,6 @@ def _alternating(out):
     return np.where(np.arange(out.size).reshape(out.shape) % 2 == 0, 1.0, -1.0)
 
 
-def _log_ulps_off(a):
-    out = np.log(a)
-    toward = math.inf * _alternating(out)
-    for _ in range(3):
-        out = np.nextafter(out, toward)
-    return out
-
-
 def _log_shifted_by(delta):
     def log(a):
         out = np.log(a)
@@ -551,24 +542,9 @@ def _log_shifted_by(delta):
     return log
 
 
-@pytest.mark.parametrize(
-    "log, tie, same",
-    [
-        (_log_ulps_off, mcmc.LOG_UNIFORM_TIE, True),
-        (_log_shifted_by(1e-2), 5e-2, True),
-        (_log_shifted_by(1e-2), mcmc.LOG_UNIFORM_TIE, False),
-    ],
-    ids=["3-ulps", "1e-2-within-tie", "1e-2-beyond-tie"],
-)
-def test_log_uniform_error_within_tie_keeps_every_chain(monkeypatch, log, tie, same):
-    """An np.log error below the tie tolerance moves no draw; the same error beyond it does.
-
-    The second case re-decides about 5% of the moves with math.log, so it
-    also checks that the fallback reads the right uniform.
-    """
-    monkeypatch.setattr(mcmc, "np", _NumpyWithLog(log))
-    monkeypatch.setattr(mcmc, "LOG_UNIFORM_TIE", tie)
-    outcomes = []
+def test_np_log_error_moves_no_draw(monkeypatch):
+    """An np.log off by 1e-2 moves no draw: no accept decision reads np.log."""
+    monkeypatch.setattr(mcmc, "np", _NumpyWithLog(_log_shifted_by(1e-2)))
     for case in sorted(CASES):
         for seed, step_scale in [(3, 1.0), (11, 4.0)]:
             target, reference, init, steps = _build(case, seed)
@@ -576,8 +552,7 @@ def test_log_uniform_error_within_tie_keeps_every_chain(monkeypatch, log, tie, s
                 iterations=ITERATIONS, burn_in=BURN_IN, thin=THIN, initial=init, steps=step_scale * steps, seed=seed
             )
             got, want = run_chain(target, config), reference_run_chain(reference, config)
-            outcomes.append(np.array_equal(got.draws, want.draws))
-    assert all(outcomes) if same else not any(outcomes)
+            assert np.array_equal(got.draws, want.draws), (case, seed)
 
 
 _default_rng = np.random.default_rng

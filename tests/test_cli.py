@@ -591,6 +591,34 @@ def test_fit_takes_a_scale_whose_power_overflows(tmp_path, model):
     assert (out / "summaries.json").exists()
 
 
+def test_prior_grid_takes_a_scale_whose_power_overflows(tmp_path):
+    """prior takes the prior fit takes: with a^k beyond the floats the grid is written, its densities underflowed to 0."""
+    out = tmp_path / "o"
+    assert run_cli("prior", "--dim", "2", "--k", "400", "--a", "1e300", "--grid", "3", "--out", str(out)) == 0
+    body = np.loadtxt(out / "prior_grid.csv", delimiter=",", skiprows=1)
+    assert body.shape == (9, 3) and np.all(body[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "text, line, model",
+    [
+        ("x,y\n1,2\n3,4\n5\n", 4, "linreg"),
+        ("x,y\n1,2\n\n# a comment\n3,4\n5,6,7\n", 6, "linreg"),
+        ("x\nabc\n", 2, "weibull"),
+        ("x\n1.5\n2.5\nabc\n", 4, "dagum"),
+    ],
+    ids=["ragged", "ragged-after-blank-and-comment", "text-first-row", "text-later-row"],
+)
+def test_unparsable_csv_names_its_file_and_line(tmp_path, capsys, text, line, model):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("fit", "--model", model, "--data", str(data), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data} line {line}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_prior_grid_away_from_tiny_scale_is_written(tmp_path):
     # the density overflows near the origin only: a grid that keeps away from it is written
     out = tmp_path / "o"

@@ -28,10 +28,22 @@ def quad_oracle(f, lo=0.0, hi=np.inf):
         (lm.LomaxSpec(2, 1.0, 1.0), 2.0),
         (lm.LomaxSpec(4, 1.0, 1.0, frozenset({1, 2, 3})), 3.0),
         (lm.LomaxSpec(3, 2.0, 2.0), 2.0 ** 2 * 2 * 3 * 4),
+        (lm.LomaxSpec(2, 3.0, 0.5, frozenset({2})), 0.5**3 * 3 * 4 / 2),
     ],
 )
 def test_normalizing_constant(spec, expected):
     assert lm.normalizing_constant(spec) == pytest.approx(expected, rel=1e-14)
+    assert lm.log_normalizing_constant(spec) == pytest.approx(math.log(expected), rel=1e-14, abs=1e-15)
+
+
+def test_log_normalizing_constant_range():
+    # a^k = 1e300^400 overflows, its logarithm does not; k(k+1)(k+2) of k = 1e120 has none
+    got = lm.log_normalizing_constant(lm.LomaxSpec(2, 400.0, 1e300))
+    assert got == pytest.approx(400 * 300 * math.log(10) + math.log(400 * 401), rel=1e-14)
+    with pytest.raises(lm.PriorRangeError, match="shape 1e\\+120"):
+        lm.log_normalizing_constant(lm.LomaxSpec(3, 1e120))
+    with pytest.raises(lm.PriorRangeError):
+        lm.log_normalizing_constant(lm.LomaxSpec(3, 5e-324, 1.0, frozenset({1, 2})))
 
 
 def test_density_values():
@@ -222,6 +234,28 @@ def test_sample_bivariate_marginals():
     draws = lm.sample(lm.LomaxSpec(2), rng, size=100_000)
     assert ks_distance(draws[:, 0], 1.0, 1.0) < 0.01
     assert ks_distance(draws[:, 1], 1.0, 1.0) < 0.01
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    k=st.floats(0.5, 5.0),
+    a=st.floats(0.1, 10.0),
+    folds=st.sets(st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_marginals_property(dim, k, a, folds, seed):
+    """|x_j| of every coordinate of LM(d, k, a) draws is LM(1, k, a), folded or not.
+
+    The KS distance D over n = 20000 draws must stay below 2.5 / sqrt(n).
+    For exact draws P(sqrt(n) D > 2.5) is about 2 exp(-2 * 2.5^2) = 7.5e-6
+    per comparison, so at most 7.5e-4 over the 25 examples' 100 comparisons.
+    """
+    n = 20_000
+    spec = lm.LomaxSpec(dim, k, a, frozenset(i for i in folds if i <= dim))
+    draws = lm.sample(spec, np.random.default_rng(seed), size=n)
+    for j in range(dim):
+        assert ks_distance(np.abs(draws[:, j]), k, a) < 2.5 / math.sqrt(n), (spec, j)
 
 
 def test_sample_folded_symmetry():
