@@ -115,11 +115,9 @@ def _abs_sum(spec: LomaxSpec, x: np.ndarray) -> float:
         xi = x[i]
         if (i + 1) in spec.folded:
             total += abs(xi)
+        elif xi <= 0:
+            raise ValueError(f"coordinate {i + 1} is on (0, inf) but got {xi}")
         else:
-            if xi <= 0:
-                raise ValueError(
-                    f"coordinate {i + 1} is on (0, inf) but got {xi}"
-                )
             total += xi
     return total
 

@@ -282,19 +282,21 @@ def read_csv(path):
     """(column names, (rows, columns) float array) of a headed CSV such as write_csv writes.
 
     A ValueError naming the file refuses one with no data rows, with a value that is not finite,
-    or with a row that is not one number per column, whose line it names.
+    or with a row that is not one number per header column, whose line it names.
     """
     with open(path) as fh:
         names = tuple(h.strip() for h in fh.readline().strip().split(","))
         lines = fh.readlines()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # no rows: refused below
+        try:
             body = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        bad = (f"line {number}: {line.strip()!r} is not one number per column of {list(names)}"
-               for number, line in enumerate(lines, 2) if not _is_row(line, len(names)))
-        raise ValueError(f"{path} {next(bad, exc)}") from None
+            if body.size and body.shape[1] != len(names):
+                raise ValueError(f"rows of {body.shape[1]} numbers below {len(names)} column names")
+        except ValueError as exc:
+            bad = (f"line {number}: {line.strip()!r} is not one number per column of {list(names)}"
+                   for number, line in enumerate(lines, 2) if not _is_row(line, len(names)))
+            raise ValueError(f"{path} {next(bad, exc)}") from None
     if body.size == 0:
         raise ValueError(f"{path} has no data rows below its header")
     if not np.isfinite(body).all():
@@ -303,12 +305,12 @@ def read_csv(path):
 
 
 def _is_row(line: str, width: int) -> bool:
-    """Whether loadtxt skips ``line`` (blank or a comment) or it holds ``width`` comma-separated numbers."""
-    text = line.split("#", 1)[0].strip()
+    """Whether loadtxt skips ``line`` (blank or a comment) or reads ``width`` numbers from it."""
     try:
-        return not text or len([float(cell) for cell in text.split(",")]) == width
+        row = np.loadtxt([line], delimiter=",", ndmin=2)
     except ValueError:
         return False
+    return row.size == 0 or row.shape[1] == width
 
 
 def chain_to_csv(output: ChainOutput, path):

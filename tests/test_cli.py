@@ -604,10 +604,13 @@ def test_prior_grid_takes_a_scale_whose_power_overflows(tmp_path):
     [
         ("x,y\n1,2\n3,4\n5\n", 4, "linreg"),
         ("x,y\n1,2\n\n# a comment\n3,4\n5,6,7\n", 6, "linreg"),
+        ("x,y\n1\n2\n3\n", 2, "linreg"),
         ("x\nabc\n", 2, "weibull"),
         ("x\n1.5\n2.5\nabc\n", 4, "dagum"),
+        ("x\n1.5\n1_0\n", 3, "weibull"),
     ],
-    ids=["ragged", "ragged-after-blank-and-comment", "text-first-row", "text-later-row"],
+    ids=["ragged", "ragged-after-blank-and-comment", "every-row-narrower", "text-first-row", "text-later-row",
+         "underscore-digits"],
 )
 def test_unparsable_csv_names_its_file_and_line(tmp_path, capsys, text, line, model):
     data = tmp_path / "bad.csv"
