@@ -70,6 +70,10 @@ def builtin_dataset(name: str) -> np.ndarray:
         ) from None
 
 
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     model: str
@@ -93,7 +97,8 @@ class ScenarioSpec:
         if not 2 <= self.n <= MAX_SAMPLE_SIZE:
             raise ValueError(f"sample size must be between 2 and {MAX_SAMPLE_SIZE}, got {self.n}")
         object.__setattr__(self, "priors", tuple(self.priors))
-        if not (isinstance(self.truth, dict) and all(isinstance(v, numbers.Real) for v in self.truth.values())):
+        # a bool is refused as md.real_key and md.integer_key refuse it
+        if not (isinstance(self.truth, dict) and all(_is_number(v, numbers.Real) for v in self.truth.values())):
             raise ValueError(f"truth must map parameter names to numbers, got {self.truth!r}")
         object.__setattr__(self, "truth", dict(self.truth))
         if set(self.truth) != set(names := _param_names(self)):
@@ -108,7 +113,7 @@ class ScenarioSpec:
             if self.preset not in CHAIN_PRESETS:
                 raise ValueError(f"unknown preset {self.preset!r}; use one of {sorted(CHAIN_PRESETS)}")
         elif isinstance(self.preset, (list, tuple)) and len(self.preset) == 3 and all(
-            isinstance(v, numbers.Integral) for v in self.preset
+            _is_number(v, numbers.Integral) for v in self.preset
         ):
             object.__setattr__(self, "preset", tuple(int(v) for v in self.preset))
         else:

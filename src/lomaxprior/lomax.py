@@ -135,13 +135,6 @@ def density(spec: LomaxSpec, x) -> float:
     return math.exp(log_density(spec, x))
 
 
-def _density_from_sum(spec: LomaxSpec, s):
-    """Vectorized density as a function of the folded-absolute coordinate sum."""
-    return normalizing_constant(spec) * (spec.scale + np.asarray(s, float)) ** (
-        -(spec.shape + spec.dim)
-    )
-
-
 def marginal(spec: LomaxSpec, subset) -> LomaxSpec:
     """Marginal over the coordinates in ``subset``: LM(|S|, k, a).
 
@@ -151,7 +144,7 @@ def marginal(spec: LomaxSpec, subset) -> LomaxSpec:
     s = sorted(set(int(i) for i in subset))
     if not s:
         raise ValueError("marginal subset must be nonempty")
-    if not set(s) <= set(range(1, spec.dim + 1)):
+    if not 1 <= s[0] <= s[-1] <= spec.dim:  # no set of range(dim): dim may be huge
         raise ValueError(f"subset {s} not within 1..{spec.dim}")
     new_folded = frozenset(pos + 1 for pos, i in enumerate(s) if i in spec.folded)
     return LomaxSpec(dim=len(s), shape=spec.shape, scale=spec.scale, folded=new_folded)
@@ -165,10 +158,11 @@ def conditional(spec: LomaxSpec, subset, observed: dict) -> LomaxSpec:
     ``marginal``.
     """
     s = sorted(set(int(i) for i in subset))
-    t = sorted(int(i) for i in observed)
+    t = sorted(set(int(i) for i in observed))
     if set(s) & set(t):
         raise ValueError(f"subset {s} and observed indices {t} overlap")
-    if set(s) | set(t) != set(range(1, spec.dim + 1)):
+    # disjoint, within 1..d and d in number: a cover without a set of range(d)
+    if not (all(1 <= i <= spec.dim for i in s + t) and len(s) + len(t) == spec.dim):
         raise ValueError("subset and observed indices must cover 1..d exactly")
     shift = 0.0
     for i in t:
@@ -287,11 +281,11 @@ def laplace_mixture_density(d: int, x, nodes: int = 200) -> float:
     return value
 
 
-def half_line_rule(nodes: int, scale: float):
-    """Gauss-Legendre nodes and weights on (0, inf), mapped from t in (0, 1) by x = scale t/(1-t)."""
+def half_line_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on (0, inf), mapped from t in (0, 1) by u = t/(1-t)."""
     z, w = np.polynomial.legendre.leggauss(nodes)
     t = 0.5 * (z + 1.0)
-    return scale * t / (1.0 - t), 0.5 * w * scale / (1.0 - t) ** 2
+    return t / (1.0 - t), 0.5 * w / (1.0 - t) ** 2
 
 
 def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
@@ -299,22 +293,28 @@ def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
 
     The positive orthant is integrated on a tensor grid of half_line_rule
     nodes; the density depends on a folded coordinate through |x_i| only,
-    so each folded coordinate doubles that value.  Returns a value that
-    should be 1 for a correctly normalized spec.  Grids of more than
-    MAX_QUADRATURE_POINTS points (nodes**dim) are refused before any allocation.
+    so each folded coordinate doubles that value.  Each point adds
+    exp(log weight + log density), so any finite scale works.  Returns a
+    value that should be 1 for a correctly normalized spec.  Grids of more
+    than MAX_QUADRATURE_POINTS points (nodes**dim) are refused before any
+    allocation.
     """
     nodes = int(nodes)
     if nodes**spec.dim > MAX_QUADRATURE_POINTS:
         raise ValueError(
             f"a {nodes}**{spec.dim} quadrature grid exceeds {MAX_QUADRATURE_POINTS} points; use fewer nodes"
         )
-    x1, w1 = half_line_rule(nodes, spec.scale)
-    # accumulate sum_i x_i on the tensor grid one axis at a time
-    s_grid = np.zeros((1,) * spec.dim)
-    w_grid = np.ones((1,) * spec.dim)
+    # nodes x = a u: a + sum x = a (1 + sum u) has a finite log for any finite a
+    u1, w1 = half_line_rule(nodes)
+    log_a = math.log(spec.scale)
+    log_w1 = log_a + np.log(w1)
+    # accumulate sum_i u_i and the log weights on the tensor grid one axis at a time
+    u_grid = np.zeros((1,) * spec.dim)
+    log_w = np.zeros((1,) * spec.dim)
     for axis in range(spec.dim):
         shape = [1] * spec.dim
         shape[axis] = nodes
-        s_grid = s_grid + x1.reshape(shape)
-        w_grid = w_grid * w1.reshape(shape)
-    return 2 ** len(spec.folded) * float(np.sum(w_grid * _density_from_sum(spec, s_grid)))
+        u_grid = u_grid + u1.reshape(shape)
+        log_w = log_w + log_w1.reshape(shape)
+    log_q = log_normalizing_constant(spec) - (spec.shape + spec.dim) * (log_a + np.log1p(u_grid))
+    return 2 ** len(spec.folded) * float(np.sum(np.exp(log_w + log_q)))

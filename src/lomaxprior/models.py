@@ -118,12 +118,12 @@ def _positive_data(x) -> np.ndarray:
 
 
 def weibull_logpdf(params: WeibullParams, x):
-    """log beta + (beta-1) log x - beta log theta - (x/theta)^beta."""
-    x = _positive_data(x)
+    """log beta + (beta-1) log x - beta log theta - (x/theta)^beta; a float for a scalar x, else an array."""
+    logx = np.log(_positive_data(x))
     th, be = params.scale, params.shape
-    z = be * (np.log(x) - math.log(th))
-    out = math.log(be) - np.log(x) + z - np.exp(z)
-    return float(out[0]) if out.size == 1 else out
+    z = be * (logx - math.log(th))
+    out = math.log(be) - logx + z - np.exp(z)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def weibull_loglik(params: WeibullParams, data) -> float:
@@ -272,12 +272,12 @@ def weibull_mle(data) -> WeibullParams:
 
 
 def dagum_logpdf(params: DagumParams, x):
-    """log a + log p - log x + a p (log x - log b) - (p+1) log(1 + (x/b)^a)."""
-    x = _positive_data(x)
+    """log a + log p - log x + a p (log x - log b) - (p+1) log(1 + (x/b)^a); scalar rule as weibull_logpdf."""
+    logx = np.log(_positive_data(x))
     a, b, p = params.a, params.b, params.p
-    w = a * (np.log(x) - math.log(b))
-    out = math.log(a) + math.log(p) - np.log(x) + p * w - (p + 1.0) * np.logaddexp(0.0, w)
-    return float(out[0]) if out.size == 1 else out
+    w = a * (logx - math.log(b))
+    out = math.log(a) + math.log(p) - logx + p * w - (p + 1.0) * np.logaddexp(0.0, w)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def dagum_loglik(params: DagumParams, data) -> float:
@@ -285,9 +285,9 @@ def dagum_loglik(params: DagumParams, data) -> float:
 
 
 def dagum_cdf(params: DagumParams, x):
-    x = _positive_data(x)
-    out = (1.0 + (x / params.b) ** (-params.a)) ** (-params.p)
-    return float(out[0]) if out.size == 1 else out
+    """(1 + (x/b)^-a)^-p; scalar rule as weibull_logpdf."""
+    out = (1.0 + (_positive_data(x) / params.b) ** (-params.a)) ** (-params.p)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def dagum_quantile_sample(params: DagumParams, u):

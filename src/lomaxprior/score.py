@@ -272,7 +272,7 @@ def bregman_divergence(spec: AlphaSpec, field_p: DensityField, field_q: DensityF
     """
     if spec.dim > 2:
         raise ValueError("divergence quadrature supports dim <= 2 only")
-    xs, ws = half_line_rule(BREGMAN_NODES, 1.0)
+    xs, ws = half_line_rule(BREGMAN_NODES)
     total = 0.0
     if spec.dim == 1:
         for xi, wi in zip(xs, ws):

@@ -103,6 +103,7 @@ def test_scenario_validation():
         ((2000.0, 500, 5), r"\[iterations, burn_in, thin\]"),
         (("2000", 500, 5), r"\[iterations, burn_in, thin\]"),
         (5, r"\[iterations, burn_in, thin\]"),
+        ((1200, True, 5), r"\[iterations, burn_in, thin\]"),
         ((200, 100, 10), "at least 100 retained draws"),
         ((1000, 1000, 1), "at least 100 retained draws"),
         ((1000, 2000, 1), "at least 100 retained draws"),
@@ -111,7 +112,7 @@ def test_scenario_validation():
         ((2000, 500, -2), "thin >= 1"),
     ],
     ids=[
-        "unknown-name", "two-values", "float", "string", "number", "few-draws",
+        "unknown-name", "two-values", "float", "string", "number", "bool", "few-draws",
         "burn-in-equals-iterations", "burn-in-exceeds-iterations", "negative-burn-in",
         "thin-zero", "thin-negative",
     ],
@@ -119,6 +120,16 @@ def test_scenario_validation():
 def test_scenario_rejects_bad_preset_on_construction(preset, match):
     with pytest.raises(ValueError, match=match):
         tiny_weibull_spec(preset=preset)
+
+
+def test_scenario_rejects_bool_truth():
+    # True is a numbers.Real, but like every other real key a truth value refuses it
+    with pytest.raises(ValueError, match="truth must map parameter names to numbers"):
+        tiny_weibull_spec(truth={"scale": True, "shape": 1.0})
+    doc = json.loads(ex.scenario_to_json(tiny_weibull_spec()))
+    doc["truth"]["shape"] = True
+    with pytest.raises(ValueError, match="truth must map parameter names to numbers"):
+        ex.scenario_from_json(json.dumps(doc))
 
 
 def test_smallest_preset_is_accepted():
@@ -160,6 +171,36 @@ def test_run_scenario_workers_match_serial():
     serial = ex.run_scenario(spec)
     parallel = ex.run_scenario(spec, workers=2)
     assert serial == parallel
+
+
+# one small scenario per model, with every prior the model defines
+_WORKER_SCENARIOS = {
+    "weibull": ({"scale": 1.0, "shape": 1.5}, (md.PriorSpec.lomax(), md.PriorSpec.weibull_reference())),
+    "dagum": ({"a": 3.0, "b": 1.0, "p": 0.8}, (md.PriorSpec.lomax(), md.PriorSpec.vague_gamma())),
+    "linreg": (
+        {"beta0": 1.0, "beta1": -0.5, "sigma2": 2.0},
+        (md.PriorSpec.lomax(), md.PriorSpec.vague_normal(), md.PriorSpec.zellner()),
+    ),
+}
+
+
+def _outcome(spec, workers):
+    """The scenario's table, or the error that ended it."""
+    try:
+        return ex.run_scenario(spec, workers)
+    except ex.ScenarioError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("model", md.MODELS)
+@settings(max_examples=4, deadline=None, database=None)  # each example starts a pool of two processes
+@given(replicates=st.integers(2, 3), seed=st.integers(0, 2**32))
+def test_run_scenario_workers_match_serial_property(model, replicates, seed):
+    truth, priors = _WORKER_SCENARIOS[model]
+    spec = ex.ScenarioSpec(
+        model=model, truth=truth, n=20, replicates=replicates, priors=priors, preset=(1100, 100, 10), seed=seed
+    )
+    assert _outcome(spec, 0) == _outcome(spec, 2)
 
 
 class _RecordingPool:

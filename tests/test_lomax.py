@@ -1,6 +1,7 @@
 """Tests for the multivariate Lomax family: density, closure, sampling, identities."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,29 @@ def test_conditional_index_errors():
         lm.conditional(lm.LomaxSpec(3), [1], {3: 1.0})
     with pytest.raises(ValueError):
         lm.conditional(lm.LomaxSpec(3), [1], {2: -1.0, 3: 1.0})
+    # an index given twice (1 and 1.0) counts once, so {1, 3} does not cover 1..3
+    with pytest.raises(ValueError, match="cover 1..d exactly"):
+        lm.conditional(lm.LomaxSpec(3), [1, 1.0], {3: 1.0})
+    with pytest.raises(ValueError, match="cover 1..d exactly"):
+        lm.conditional(lm.LomaxSpec(3), [1, 2], {4: 1.0})
+
+
+def test_marginal_and_conditional_check_indices_in_memory_independent_of_dim():
+    # bounds and counts, not a set of range(dim): at dim 10**12 such a set would exhaust memory
+    big = lm.LomaxSpec(10**12, 2.0, 3.0, folded=frozenset({10**12}))
+    tracemalloc.start()
+    try:
+        assert lm.marginal(big, [1, 10**12]) == lm.LomaxSpec(2, 2.0, 3.0, folded=frozenset({2}))
+        with pytest.raises(ValueError, match="not within"):
+            lm.marginal(big, [0, 5])
+        with pytest.raises(ValueError, match="not within"):
+            lm.marginal(big, [10**12 + 1])
+        with pytest.raises(ValueError, match="cover 1..d exactly"):
+            lm.conditional(big, [1], {2: 1.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_conditional_ratio_oracle():
@@ -375,6 +399,22 @@ def test_normalization_folded():
     assert abs(lm.normalization_quadrature(spec) - 1.0) < 1e-3
     spec4 = lm.LomaxSpec(4, folded=frozenset({1, 2, 3}))
     assert abs(lm.normalization_quadrature(spec4, nodes=48) - 1.0) < 2e-3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lm.LomaxSpec(2, 3.0, 1e300),
+        lm.LomaxSpec(2, 3.0, 1e-200),
+        lm.LomaxSpec(3, 1.0, 1e250),
+        lm.LomaxSpec(2, 3.0, sys.float_info.max),
+        lm.LomaxSpec(3, 1.0, 5e-324, frozenset({1})),
+    ],
+    ids=["scale-1e300", "scale-1e-200", "d3-scale-1e250", "scale-max-float", "folded-scale-min-subnormal"],
+)
+def test_normalization_any_finite_scale(spec):
+    # a^k, the nodes and the product of d weights leave the float range here; their logarithms do not
+    assert abs(lm.normalization_quadrature(spec) - 1.0) < 1e-3
 
 
 def test_normalization_grid_cap(monkeypatch):

@@ -9,8 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from lomaxprior import lomax as lm
 from lomaxprior import models as md
+from lomaxprior import penalty as pn
 from lomaxprior.experiments import builtin_dataset
+
+
+# ---------------------------------------------------------------------------
+# the distribution helpers' one scalar rule
+
+ELEMENTWISE_HELPERS = {
+    "weibull_logpdf": lambda v: md.weibull_logpdf(md.WeibullParams(2.0, 1.5), v),
+    "dagum_logpdf": lambda v: md.dagum_logpdf(md.DagumParams(2.0, 1.0, 0.5), v),
+    "dagum_cdf": lambda v: md.dagum_cdf(md.DagumParams(2.0, 1.0, 0.5), v),
+    "weibull_quantile_sample": lambda v: md.weibull_quantile_sample(md.WeibullParams(2.0, 1.5), v),
+    "dagum_quantile_sample": lambda v: md.dagum_quantile_sample(md.DagumParams(2.0, 1.0, 0.5), v),
+    "univariate_cdf": lambda v: lm.univariate_cdf(2.0, 1.0, v),
+    "univariate_quantile": lambda v: lm.univariate_quantile(2.0, 1.0, v),
+    "log_penalty_estimate_1d": lambda v: pn.log_penalty_estimate_1d(v, 0.1),
+    "lasso_estimate_1d": lambda v: pn.lasso_estimate_1d(v, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE_HELPERS))
+def test_helpers_return_a_float_for_a_scalar_only(name):
+    helper = ELEMENTWISE_HELPERS[name]
+    got = helper(0.25)
+    assert type(got) is float
+    for shape in [(1,), (3,)]:
+        values = np.full(shape, 0.25)
+        out = helper(values)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        np.testing.assert_allclose(out, got, rtol=1e-14)  # numpy's vector loops may round the last bit apart
 
 
 # ---------------------------------------------------------------------------
