@@ -18,6 +18,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# OpenBLAS splits a long ddot across its threads, so a regression's last bits
+# on more than about 10^4 rows would follow the host's core count; and the
+# sampler's matrix-vector products gain nothing from a thread pool.  One
+# thread unless the caller set otherwise, fixed before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from lomaxprior import experiments as ex

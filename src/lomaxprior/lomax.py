@@ -16,6 +16,7 @@ Coordinate indices (for ``folded``, ``marginal`` and ``conditional``) are
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "log_normalizing_constant",
     "log_density",
     "density",
+    "integer_key",
     "marginal",
     "conditional",
     "univariate_cdf",
@@ -135,13 +137,22 @@ def density(spec: LomaxSpec, x) -> float:
     return math.exp(log_density(spec, x))
 
 
+def integer_key(key: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``key`` unless it is an integral number (not a bool)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{key!r} must be a number (an integer), got {value!r}")
+    return int(value)
+
+
 def marginal(spec: LomaxSpec, subset) -> LomaxSpec:
     """Marginal over the coordinates in ``subset``: LM(|S|, k, a).
 
     The returned spec's coordinates are the elements of ``subset`` in
     increasing order; fold flags carry over.
     """
-    s = sorted(set(int(i) for i in subset))
+    s = sorted(set(integer_key("subset", i) for i in subset))
     if not s:
         raise ValueError("marginal subset must be nonempty")
     if not 1 <= s[0] <= s[-1] <= spec.dim:  # no set of range(dim): dim may be huge
@@ -157,8 +168,9 @@ def conditional(spec: LomaxSpec, subset, observed: dict) -> LomaxSpec:
     is LM(|S|, k + d - |S|, a + sum |x_T|), fold flags carried over as in
     ``marginal``.
     """
-    s = sorted(set(int(i) for i in subset))
-    t = sorted(set(int(i) for i in observed))
+    s = sorted(set(integer_key("subset", i) for i in subset))
+    values = {integer_key("observed", i): v for i, v in observed.items()}  # equal numbers are one dict key
+    t = sorted(values)
     if set(s) & set(t):
         raise ValueError(f"subset {s} and observed indices {t} overlap")
     # disjoint, within 1..d and d in number: a cover without a set of range(d)
@@ -166,7 +178,7 @@ def conditional(spec: LomaxSpec, subset, observed: dict) -> LomaxSpec:
         raise ValueError("subset and observed indices must cover 1..d exactly")
     shift = 0.0
     for i in t:
-        v = float(observed[i])
+        v = float(values[i])
         if v <= 0 and i not in spec.folded:
             raise ValueError(f"observed coordinate {i} must be > 0, got {v}")
         shift += abs(v)

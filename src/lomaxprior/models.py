@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec, log_normalizing_constant
+from lomaxprior.lomax import LomaxSpec, integer_key, log_normalizing_constant
 from lomaxprior.mcmc import PosteriorTarget, read_csv
 
 __all__ = [
@@ -341,15 +341,6 @@ def least_squares_init(X, y) -> LinRegParams:
 # priors
 
 
-def integer_key(key: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``key`` unless it is an integral number (not a bool)."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
-    ):
-        raise ValueError(f"{key!r} must be a number (an integer), got {value!r}")
-    return int(value)
-
-
 def real_key(key: str, value) -> float:
     """``value`` as a float; a ValueError naming ``key`` unless it is a real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -574,9 +565,10 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
     else:
         raise ValueError(f"prior {prior.kind!r} is not defined for the Dagum model")
 
-    w = np.empty_like(logx)  # reused by every call: log_post is not thread-safe
-    softplus = np.empty_like(logx)
-    s = np.empty(())  # each scalar operand and each sum: numpy converts no Python float
+    terms = np.empty((2, n))  # rows w and softplus(w), reused by every call: log_post is not thread-safe
+    w, softplus = terms
+    s = np.empty(())  # each scalar operand: numpy converts no Python float
+    both = np.empty(2)  # the two row sums, each the pairwise sum a 1-d reduce of its row gives
 
     # a p move keeps (a, b); read only at a, b > 0, where equal keys have equal bits
     @functools.lru_cache(maxsize=len(names))
@@ -587,10 +579,8 @@ def dagum_target(data, prior: PriorSpec) -> PosteriorTarget:
         np.multiply(w, s, w)
         s[()] = 0.0
         np.logaddexp(s, w, softplus)
-        np.add.reduce(w, 0, None, s)
-        sum_w = float(s)
-        np.add.reduce(softplus, 0, None, s)
-        return sum_w, float(s)
+        np.add.reduce(terms, 1, None, both)
+        return tuple(both.tolist())
 
     def log_post(v):
         a, b, p = v.tolist()
@@ -622,8 +612,12 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
     if kind == "lomax":
         const, expo, a0 = _lomax_for(prior, support, "regression")
 
+        abs_coef, abs_sum = np.empty(p + 1), np.empty(())
+
         def coef_term(coef):
-            return float(np.add.reduce(np.abs(coef)))
+            np.abs(coef, abs_coef)
+            np.add.reduce(abs_coef, 0, None, abs_sum)
+            return float(abs_sum)
 
         def logp(abs_sum, var):
             return const - expo * math.log(a0 + abs_sum + var)
@@ -633,7 +627,7 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
         const = -0.5 * (p + 1) * math.log(2.0 * math.pi * c)
 
         def coef_term(coef):
-            return float(coef @ coef)
+            return float(np.dot(coef, coef))
 
         def logp(sq_sum, var):
             return -math.log(var) + const - 0.5 * sq_sum / c
@@ -651,7 +645,7 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
 
         def coef_term(coef):
             slopes = coef[1:]
-            return float(slopes @ xtx @ slopes)
+            return float(np.dot(np.dot(slopes, xtx), slopes))
 
         def logp(slope_quad, var):
             quad = slope_quad / (var * g)
@@ -667,13 +661,15 @@ def linreg_target(X, y, prior: PriorSpec) -> PosteriorTarget:
 
     r = np.empty(n)  # reused by every call: log_post is not thread-safe
 
-    # keyed on the coefficients' bytes, not their values: 0.0 == -0.0
+    # keyed on the coefficients' bytes, not their values: 0.0 == -0.0.  np.dot
+    # calls the BLAS gemv/ddot that @ calls, with the same bits and without
+    # matmul's dispatch, which costs more than a product at n = 100
     @functools.lru_cache(maxsize=len(names))
     def data_terms(key):
         coef = np.frombuffer(key)
-        np.matmul(full, coef, out=r)
+        np.dot(full, coef, r)
         np.subtract(y, r, out=r)
-        return float(r @ r), coef_term(coef)
+        return float(np.dot(r, r)), coef_term(coef)
 
     def log_post(v):
         var = float(v[-1])

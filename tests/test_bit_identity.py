@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -438,7 +438,7 @@ def test_log_post_walk_matches_reference(case):
 
 
 # per model, a numpy call that each pass over the data makes exactly once
-DATA_PASS = {"dagum": "logaddexp", "linreg": "matmul"}
+DATA_PASS = {"dagum": "logaddexp", "linreg": "subtract"}
 
 
 @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] in DATA_PASS))
@@ -513,6 +513,62 @@ def test_log_post_bits_match_reference_at_edge_values(case):
         assert _bits(got) == _bits(want), (point, got, want)
 
     check()
+
+
+def _assert_same_bits(target, reference, points):
+    for v in points:
+        got, want = target.log_post(v), reference.log_post(v.copy())
+        assert _bits(got) == _bits(want), (v, got, want)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.sampled_from([PriorSpec.lomax(), PriorSpec.vague_normal(), PriorSpec.zellner()]),
+    # half the draws keep n small, where a last bit of the prior term still shows in the sum
+    st.integers(1, 10).flatmap(
+        lambda p: st.tuples(st.just(p), st.one_of(st.integers(p + 2, 100), st.integers(p + 2, 20_000)))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example(PriorSpec.lomax(), (10, 20_000), 0)
+@example(PriorSpec.zellner(), (10, 20_000), 1)
+@example(PriorSpec.vague_normal(), (1, 3), 2)
+@example(PriorSpec.lomax(), (10, 12), 3)
+def test_linreg_log_post_bits_match_reference_at_any_shape(prior, shape, seed):
+    """Beyond the pinned p = 2, n = 100: every prior, p = 1..10, n = p + 2..20,000.
+
+    With p + 1 > 8 coefficients numpy's add.reduce runs its 8-accumulator
+    pairwise sum in the Lomax |coef| term; past 10^4 rows OpenBLAS may split
+    the residual's ddot across threads.  Both sides run in one process, on
+    one thread count.
+    """
+    p, n = shape
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 3.0, size=(n, p))
+    y = 2.0 + X @ rng.normal(size=p) + rng.normal(0.0, 2.0, size=n)
+    target, reference = md.linreg_target(X, y, prior), reference_linreg_target(X, y, prior)
+    init = md.least_squares_init(X, y).as_vector()
+    jitter = rng.normal(0.0, 0.5, size=(50, p + 2))
+    points = [init] + [np.append(init[:-1] + j[:-1], init[-1] * math.exp(j[-1])) for j in jitter]
+    points[-1][1:-1] = -0.0
+    _assert_same_bits(target, reference, points)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    st.sampled_from([PriorSpec.lomax(), PriorSpec.vague_gamma()]),
+    st.sampled_from([19, 200, 5_000]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dagum_log_post_bits_match_reference_at_any_size(prior, n, seed):
+    """Beyond the pinned n = 40: 19 rows, and 200 and 5,000, past numpy's 128-element pairwise block."""
+    rng = np.random.default_rng(seed)
+    data = md.dagum_sample(md.DagumParams(4.0, 1.0, 0.5), n, rng)
+    target, reference = md.dagum_target(data, prior), reference_dagum_target(data, prior)
+    init = md.dagum_init(data)
+    points = [init] + list(init * np.exp(rng.normal(0.0, 0.5, size=(50, 3))))
+    points[-1][:2] = points[-2][:2]  # a p move: the (a, b) sums come from the cache
+    _assert_same_bits(target, reference, points)
 
 
 # ---------------------------------------------------------------------------

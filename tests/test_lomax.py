@@ -141,6 +141,16 @@ def test_conditional_index_errors():
         lm.conditional(lm.LomaxSpec(3), [1, 1.0], {3: 1.0})
     with pytest.raises(ValueError, match="cover 1..d exactly"):
         lm.conditional(lm.LomaxSpec(3), [1, 2], {4: 1.0})
+    # an index that is not an integral number is refused by name, not looked up as int(key)
+    for subset, observed, bad in (
+        ([1], {"2": 1.0}, "'observed' must be a number \\(an integer\\), got '2'"),
+        ([1], {2.5: 1.0}, "'observed' must be a number \\(an integer\\), got 2.5"),
+        ([True], {2: 1.0}, "'subset' must be a number \\(an integer\\), got True"),
+    ):
+        with pytest.raises(ValueError, match=bad):
+            lm.conditional(lm.LomaxSpec(2), subset, observed)
+    # an integral float or numpy integer key is read through its int
+    assert lm.conditional(lm.LomaxSpec(2), [np.int64(1)], {2.0: 3.0}) == lm.LomaxSpec(1, 2.0, 4.0)
 
 
 def test_marginal_and_conditional_check_indices_in_memory_independent_of_dim():

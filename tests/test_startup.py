@@ -130,3 +130,31 @@ def test_fit_runs_without_scipy(tmp_path):
 def test_cli_import_leaves_process_pool_unloaded():
     """Only ``simulate --workers`` above 1 needs a process pool; the CLI imports it there."""
     assert _loaded_by_cli_import("multiprocessing", "concurrent.futures.process") == "[]"
+
+
+def test_fit_draws_do_not_follow_blas_threads(tmp_path):
+    """The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise.
+
+    OpenBLAS splits a ddot of more than 10^4 elements across its threads.
+    On these 20,000 rows (data seed 0), a two-thread least-squares start
+    differs in its last bits from a one-thread start, so on a multi-core host
+    the chain's draws would follow the core count.  On a one-core host both
+    runs are single-threaded and the test shows nothing.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20_000, 2))
+    y = 1.0 + X @ [2.0, -1.0] + rng.normal(size=20_000)
+    np.savetxt(tmp_path / "design.csv", np.column_stack([X, y]), delimiter=",", header="x1,x2,y", comments="")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    draws = []
+    for threads in (None, "1"):
+        out = tmp_path / f"out-{threads}"
+        argv = [sys.executable, "-m", "lomaxprior.cli", "-q", "fit", "--model", "linreg", "--prior", "lomax",
+                "--data", str(tmp_path / "design.csv"), "--response", "y",
+                "--iterations", "200", "--burn-in", "100", "--thin", "1", "--out", str(out)]
+        run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(argv, capture_output=True, text=True, env=run_env)
+        assert done.returncode == 0, done.stderr
+        draws.append((out / "draws.csv").read_bytes())
+    assert draws[0] == draws[1]
