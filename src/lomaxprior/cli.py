@@ -190,9 +190,7 @@ def _fit_inputs(args):
 
 
 def cmd_fit(args) -> int:
-    iterations, burn_in, thin = (
-        ex.CHAIN_PRESETS["full"] if args.full_scale else ex.CHAIN_PRESETS["desk"]
-    )
+    iterations, burn_in, thin = ex.CHAIN_PRESETS["full" if args.full_scale else "desk"]
     if args.iterations:
         iterations = args.iterations
     if args.burn_in is not None:

@@ -92,6 +92,8 @@ class ScenarioSpec:
             object.__setattr__(self, "covariate_sd", md.real_key("covariate_sd", self.covariate_sd))
         except ValueError as exc:
             raise ValueError(f"scenario {exc}") from None
+        if not 0 < self.covariate_sd < math.inf:
+            raise ValueError(f"scenario 'covariate_sd' must be > 0 and finite, got {self.covariate_sd}")
         if not 1 <= self.replicates <= MAX_REPLICATES:
             raise ValueError(f"need between 1 and {MAX_REPLICATES} replicates, got {self.replicates}")
         if not 2 <= self.n <= MAX_SAMPLE_SIZE:
@@ -101,11 +103,15 @@ class ScenarioSpec:
         if not (isinstance(self.truth, dict) and all(_is_number(v, numbers.Real) for v in self.truth.values())):
             raise ValueError(f"truth must map parameter names to numbers, got {self.truth!r}")
         object.__setattr__(self, "truth", dict(self.truth))
-        if set(self.truth) != set(names := _param_names(self)):
+        names, supports = md.parameters(self.model, len(self.truth) - 2)  # as _param_names reads them
+        if set(self.truth) != set(names):
             raise ValueError(f"truth keys {list(self.truth)} are not the {self.model} parameters {list(names)}")
+        support = dict(zip(names, supports))
         for key, value in self.truth.items():  # relative RMSE divides by |truth|
             if value == 0 or not math.isfinite(value):
                 raise ValueError(f"truth {key!r} must be finite and nonzero, got {value!r}")
+            if value < 0 and support[key] == "positive":
+                raise ValueError(f"truth {key!r} must be > 0 in the {self.model} model, got {value!r}")
         if not self.priors:
             raise ValueError("need at least one prior to compare")
         # the preset is checked here so that a bad one fails before any chain runs

@@ -15,6 +15,7 @@ Coordinate indices (for ``folded``, ``marginal`` and ``conditional``) are
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -30,6 +31,7 @@ __all__ = [
     "log_density",
     "density",
     "integer_key",
+    "real_key",
     "marginal",
     "conditional",
     "univariate_cdf",
@@ -46,7 +48,6 @@ __all__ = [
 
 
 MAX_QUADRATURE_POINTS = 2**24  # normalization_quadrature's grid cap, 128 MiB per float array
-MIXTURE_TAIL = 40.0  # laplace_mixture_density integrates s up to (MIXTURE_TAIL + 5 d) / (1 + sum |x_j|)
 MIXTURE_RTOL = 1e-6  # its required agreement with the closed form
 
 
@@ -72,17 +73,18 @@ class LomaxSpec:
     folded: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not 0 < self.shape < math.inf:
-            raise ValueError(f"shape must be > 0 and finite, got {self.shape}")
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
-        folded = frozenset(int(i) for i in self.folded)
-        if not all(1 <= i <= self.dim for i in folded):  # no set of range(dim): dim may be huge
-            raise ValueError(f"folded indices {sorted(folded)} not a subset of 1..{self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "folded", folded)
+        dim, shape, scale = integer_key("dim", self.dim), real_key("shape", self.shape), real_key("scale", self.scale)
+        if dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim}")
+        if not 0 < shape < math.inf:
+            raise ValueError(f"shape must be > 0 and finite, got {shape}")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be > 0 and finite, got {scale}")
+        folded = frozenset(integer_key("folded", i) for i in self.folded)
+        if not all(1 <= i <= dim for i in folded):  # no set of range(dim): dim may be huge
+            raise ValueError(f"folded indices {sorted(folded)} not a subset of 1..{dim}")
+        for key, value in (("dim", dim), ("shape", shape), ("scale", scale), ("folded", folded)):
+            object.__setattr__(self, key, value)
 
 
 def _rising_factorial(k: float, d: int) -> float:
@@ -144,6 +146,13 @@ def integer_key(key: str, value) -> int:
     ):
         raise ValueError(f"{key!r} must be a number (an integer), got {value!r}")
     return int(value)
+
+
+def real_key(key: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``key`` unless it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def marginal(spec: LomaxSpec, subset) -> LomaxSpec:
@@ -265,25 +274,19 @@ def folded_density_closed_form(d: int, x) -> float:
 def laplace_mixture_density(d: int, x, nodes: int = 200) -> float:
     """Scale mixture of independent Laplace densities with Exp(1) mixing.
 
-    Evaluates  int_0^inf prod_j (s/2) exp(-s |x_j|) exp(-s) ds  by
-    Gauss-Legendre quadrature on [0, T], where T is chosen so the dropped
-    tail is far below the target accuracy.  The result must agree with the
-    closed-form fully folded LM(d, 1, 1) density to relative MIXTURE_RTOL,
-    otherwise a QuadratureError is raised.
+    Evaluates  int_0^inf prod_j (s/2) exp(-s |x_j|) exp(-s) ds  on the
+    half_line_rule nodes of u = s (1 + sum |x_j|).  The result must agree
+    with the closed-form fully folded LM(d, 1, 1) density to relative
+    MIXTURE_RTOL, otherwise a QuadratureError is raised.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (d,):
         raise ValueError(f"x must have length {d}")
-    t = float(np.sum(np.abs(x)))
-    rate = 1.0 + t
-    upper = (MIXTURE_TAIL + 5.0 * d) / rate
-    z, w = np.polynomial.legendre.leggauss(int(nodes))
-    s = 0.5 * upper * (z + 1.0)
-    ws = 0.5 * upper * w
-    integrand = (s / 2.0) ** d * np.exp(-s * rate)
-    value = float(np.dot(ws, integrand))
+    rate = 1.0 + float(np.sum(np.abs(x)))
+    u, w = half_line_rule(int(nodes))
+    value = float(np.dot(w, (u / (2.0 * rate)) ** d * np.exp(-u))) / rate
     closed = folded_density_closed_form(d, x)
     if abs(value - closed) > MIXTURE_RTOL * closed:
         raise QuadratureError(
@@ -319,14 +322,8 @@ def normalization_quadrature(spec: LomaxSpec, nodes: int = 64) -> float:
     # nodes x = a u: a + sum x = a (1 + sum u) has a finite log for any finite a
     u1, w1 = half_line_rule(nodes)
     log_a = math.log(spec.scale)
-    log_w1 = log_a + np.log(w1)
-    # accumulate sum_i u_i and the log weights on the tensor grid one axis at a time
-    u_grid = np.zeros((1,) * spec.dim)
-    log_w = np.zeros((1,) * spec.dim)
-    for axis in range(spec.dim):
-        shape = [1] * spec.dim
-        shape[axis] = nodes
-        u_grid = u_grid + u1.reshape(shape)
-        log_w = log_w + log_w1.reshape(shape)
+    # sum_i u_i and the log weights on the tensor grid
+    u_grid = functools.reduce(np.add.outer, [u1] * spec.dim)
+    log_w = functools.reduce(np.add.outer, [log_a + np.log(w1)] * spec.dim)
     log_q = log_normalizing_constant(spec) - (spec.shape + spec.dim) * (log_a + np.log1p(u_grid))
     return 2 ** len(spec.folded) * float(np.sum(np.exp(log_w + log_q)))

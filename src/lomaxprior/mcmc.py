@@ -219,17 +219,16 @@ def summarize(draws, names: Sequence[str] | None = None) -> dict:
     """Per-coordinate mean, median, variance and equal-tailed 95% interval.
 
     Quantiles interpolate linearly between order statistics.  Accepts a
-    ChainOutput or a (kept, dim) array; needs at least MIN_DRAWS retained draws.
+    ChainOutput, or a (kept, dim) array with its ``names``; needs at least
+    MIN_DRAWS retained draws.
     """
     if isinstance(draws, ChainOutput):
         names = names or draws.names
         draws = draws.draws
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    n, d = draws.shape
+    n, _ = draws.shape
     if n < MIN_DRAWS:
         raise ValueError(f"need at least {MIN_DRAWS} retained draws, got {n}")
-    if names is None:
-        names = [f"x{j}" for j in range(d)]
     out = {}
     for j, name in enumerate(names):
         col = draws[:, j]

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec, integer_key, log_normalizing_constant
+from lomaxprior.lomax import LomaxSpec, integer_key, log_normalizing_constant, real_key
 from lomaxprior.mcmc import PosteriorTarget, read_csv
 
 __all__ = [
@@ -339,13 +338,6 @@ def least_squares_init(X, y) -> LinRegParams:
 
 # ---------------------------------------------------------------------------
 # priors
-
-
-def real_key(key: str, value) -> float:
-    """``value`` as a float; a ValueError naming ``key`` unless it is a real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ produces, and so that the generator is convex on the positive orthant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from lomaxprior.lomax import LomaxSpec, density, half_line_rule
+from lomaxprior.lomax import LomaxSpec, density, half_line_rule, integer_key
 
 __all__ = [
     "AlphaSpec",
@@ -59,12 +60,13 @@ class AlphaSpec:
     dim: int
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1 or self.k % 2 == 0:
-            raise ValueError(f"k must be an odd positive integer, got {self.k}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "dim", int(self.dim))
+        k, dim = integer_key("k", self.k), integer_key("dim", self.dim)
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"k must be an odd positive integer, got {k}")
+        if dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "dim", dim)
 
     @property
     def exponent(self) -> int:
@@ -272,15 +274,8 @@ def bregman_divergence(spec: AlphaSpec, field_p: DensityField, field_q: DensityF
     """
     if spec.dim > 2:
         raise ValueError("divergence quadrature supports dim <= 2 only")
-    xs, ws = half_line_rule(BREGMAN_NODES)
     total = 0.0
-    if spec.dim == 1:
-        for xi, wi in zip(xs, ws):
-            total += wi * _bregman_integrand(spec, field_p, field_q, np.array([xi]))
-    else:
-        for xi, wi in zip(xs, ws):
-            for yj, wj in zip(xs, ws):
-                total += wi * wj * _bregman_integrand(
-                    spec, field_p, field_q, np.array([xi, yj])
-                )
+    for point in itertools.product(zip(*half_line_rule(BREGMAN_NODES)), repeat=spec.dim):
+        x, w = zip(*point)
+        total += math.prod(w) * _bregman_integrand(spec, field_p, field_q, np.array(x))
     return total

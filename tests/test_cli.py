@@ -328,13 +328,27 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
         ),
         ({"truth": {"scale": 1.0, "shape": float("inf")}}, "truth 'shape' must be finite and nonzero, got inf"),
         ({"truth": {"scale": float("nan"), "shape": 1.0}}, "truth 'scale' must be finite and nonzero, got nan"),
+        ({"covariate_sd": 0}, "scenario 'covariate_sd' must be > 0 and finite, got 0.0"),
+        ({"covariate_sd": -1}, "scenario 'covariate_sd' must be > 0 and finite, got -1.0"),
+        ({"covariate_sd": float("nan")}, "scenario 'covariate_sd' must be > 0 and finite, got nan"),
+        ({"covariate_sd": float("inf")}, "scenario 'covariate_sd' must be > 0 and finite, got inf"),
+        ({"truth": {"scale": -1, "shape": 1.0}}, "truth 'scale' must be > 0 in the weibull model, got -1"),
+        (
+            {"model": "dagum", "truth": {"a": 2.0, "b": -1.0, "p": 1.0}, "priors": [{"kind": "lomax"}]},
+            "truth 'b' must be > 0 in the dagum model, got -1.0",
+        ),
+        (
+            {"model": "linreg", "truth": {"beta0": -1.0, "beta1": -2.0, "sigma2": -0.5}, "priors": [{"kind": "lomax"}]},
+            "truth 'sigma2' must be > 0 in the linreg model, got -0.5",
+        ),
     ],
     ids=[
         "n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings",
         "preset-few-draws", "scenario-key-misspelt", "prior-key-misspelt", "n-fraction", "replicates-fraction",
         "replicates-bool", "seed-fraction", "covariate-sd-string", "dim-fraction", "folded-fraction",
         "shape-string", "folded-weibull", "truth-extra-key", "truth-missing-key", "truth-regression-gap",
-        "truth-zero", "truth-infinite", "truth-nan",
+        "truth-zero", "truth-infinite", "truth-nan", "covariate-sd-zero", "covariate-sd-negative", "covariate-sd-nan",
+        "covariate-sd-infinite", "truth-weibull-negative", "truth-dagum-negative", "truth-regression-negative-variance",
     ],
 )
 def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):

@@ -373,6 +373,7 @@ _PRIORS = (
     md.PriorSpec.zellner(g=50.0),
 )
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -385,16 +386,17 @@ def _schedules(draw):
 @st.composite
 def _scenarios(draw):
     model = draw(st.sampled_from(md.MODELS))
-    names = md.parameters(model, draw(st.integers(1, 3)))[0]
+    names, supports = md.parameters(model, draw(st.integers(1, 3)))
+    truths = {"real": _finite.filter(bool), "positive": _positive}
     return ex.ScenarioSpec(
         model=model,
-        truth={name: draw(_finite.filter(bool)) for name in names},
+        truth={name: draw(truths[support]) for name, support in zip(names, supports)},
         n=draw(st.integers(2, ex.MAX_SAMPLE_SIZE)),
         replicates=draw(st.integers(1, ex.MAX_REPLICATES)),
         priors=draw(st.lists(st.sampled_from(_PRIORS), min_size=1, max_size=3)),
         preset=draw(st.sampled_from(sorted(ex.CHAIN_PRESETS)) | _schedules()),
         seed=draw(st.integers(0, 2**63)),
-        covariate_sd=draw(_finite),
+        covariate_sd=draw(_positive),
     )
 
 

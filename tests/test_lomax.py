@@ -79,6 +79,19 @@ def test_spec_validation():
         lm.LomaxSpec(2, scale=0.0)
     with pytest.raises(ValueError):
         lm.LomaxSpec(2, folded=frozenset({3}))
+    # numbers are read by the key rules that marginal and conditional use
+    for kwargs, message in [
+        ({"dim": 3, "folded": {1.5}}, "'folded' must be a number (an integer), got 1.5"),
+        ({"dim": 3, "folded": {True}}, "'folded' must be a number (an integer), got True"),
+        ({"dim": 3, "folded": {"2"}}, "'folded' must be a number (an integer), got '2'"),
+        ({"dim": True}, "'dim' must be a number (an integer), got True"),
+        ({"dim": 2, "shape": True}, "'shape' must be a number, got True"),
+        ({"dim": 2, "shape": "1"}, "'shape' must be a number, got '1'"),
+        ({"dim": 2, "scale": "1"}, "'scale' must be a number, got '1'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            lm.LomaxSpec(**kwargs)
+        assert str(info.value) == message
 
 
 def test_spec_checks_folds_in_memory_independent_of_dim():

@@ -16,6 +16,15 @@ def test_alpha_spec_validation():
         sc.AlphaSpec(-1, 2)
     with pytest.raises(ValueError):
         sc.AlphaSpec(1, 0)
+    for args, message in [
+        ((True, True), "'k' must be a number (an integer), got True"),
+        ((1, True), "'dim' must be a number (an integer), got True"),
+        ((1.5, 2), "'k' must be a number (an integer), got 1.5"),
+        (("1", 2), "'k' must be a number (an integer), got '1'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            sc.AlphaSpec(*args)
+        assert str(info.value) == message
 
 
 def test_alpha_values():

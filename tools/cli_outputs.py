@@ -43,9 +43,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# before numpy: importing the CLI sets its OpenBLAS thread default, which only
+# acts if it is in the environment when numpy loads OpenBLAS
 from lomaxprior import cli
+
+import numpy as np
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SCHEDULE = ["--iterations", "3000", "--burn-in", "1000", "--thin", "10"]
