@@ -23,6 +23,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from lomaxprior import models as md
+from lomaxprior.lomax import integer_key, real_key
 from lomaxprior.mcmc import ChainConfig, ChainInitError, check_schedule, run_chain, summarize, write_csv
 
 __all__ = [
@@ -88,8 +89,8 @@ class ScenarioSpec:
     def __post_init__(self):
         try:
             for key in ("n", "replicates", "seed"):
-                object.__setattr__(self, key, md.integer_key(key, getattr(self, key)))
-            object.__setattr__(self, "covariate_sd", md.real_key("covariate_sd", self.covariate_sd))
+                object.__setattr__(self, key, integer_key(key, getattr(self, key)))
+            object.__setattr__(self, "covariate_sd", real_key("covariate_sd", self.covariate_sd))
         except ValueError as exc:
             raise ValueError(f"scenario {exc}") from None
         if not 0 < self.covariate_sd < math.inf:
@@ -99,19 +100,24 @@ class ScenarioSpec:
         if not 2 <= self.n <= MAX_SAMPLE_SIZE:
             raise ValueError(f"sample size must be between 2 and {MAX_SAMPLE_SIZE}, got {self.n}")
         object.__setattr__(self, "priors", tuple(self.priors))
-        # a bool is refused as md.real_key and md.integer_key refuse it
+        # a bool is refused as real_key and integer_key refuse it
         if not (isinstance(self.truth, dict) and all(_is_number(v, numbers.Real) for v in self.truth.values())):
             raise ValueError(f"truth must map parameter names to numbers, got {self.truth!r}")
-        object.__setattr__(self, "truth", dict(self.truth))
-        names, supports = md.parameters(self.model, len(self.truth) - 2)  # as _param_names reads them
+        # a regression's truth holds beta0, sigma2 and one coefficient per covariate
+        names, supports = md.parameters(self.model, len(self.truth) - 2)
         if set(self.truth) != set(names):
             raise ValueError(f"truth keys {list(self.truth)} are not the {self.model} parameters {list(names)}")
-        support = dict(zip(names, supports))
-        for key, value in self.truth.items():  # relative RMSE divides by |truth|
+        try:  # an int past the float range is named here, before math.isfinite meets it
+            truth = {key: real_key(key, self.truth[key]) for key in names}
+        except ValueError as exc:
+            raise ValueError(f"truth {exc}") from None
+        for (key, value), support in zip(truth.items(), supports):  # relative RMSE divides by |truth|
             if value == 0 or not math.isfinite(value):
-                raise ValueError(f"truth {key!r} must be finite and nonzero, got {value!r}")
-            if value < 0 and support[key] == "positive":
-                raise ValueError(f"truth {key!r} must be > 0 in the {self.model} model, got {value!r}")
+                raise ValueError(f"truth {key!r} must be finite and nonzero, got {self.truth[key]!r}")
+            if value < 0 and support == "positive":
+                raise ValueError(f"truth {key!r} must be > 0 in the {self.model} model, got {self.truth[key]!r}")
+        # in chain order: its keys are the chain's parameter names, its values the truth vector
+        object.__setattr__(self, "truth", truth)
         if not self.priors:
             raise ValueError("need at least one prior to compare")
         # the preset is checked here so that a bad one fails before any chain runs
@@ -209,13 +215,8 @@ def _prior_labels(priors) -> list[str]:
     return labels
 
 
-def _param_names(spec: ScenarioSpec) -> tuple[str, ...]:
-    # a regression's truth holds beta0, sigma2 and one coefficient per covariate
-    return md.parameters(spec.model, len(spec.truth) - 2)[0]
-
-
 def _draw_dataset(spec: ScenarioSpec, rng: np.random.Generator):
-    truth = np.array([float(spec.truth[k]) for k in _param_names(spec)])
+    truth = np.array(list(spec.truth.values()))
     if spec.model == "weibull":
         params = md.WeibullParams(scale=truth[0], shape=truth[1])
         return md.weibull_sample(params, spec.n, rng)
@@ -241,9 +242,8 @@ def _run_replicate(spec: ScenarioSpec, replicate: int):
         np.random.SeedSequence(spec.seed, spawn_key=(replicate,))
     )
     dataset = _draw_dataset(spec, data_rng)
-    names = _param_names(spec)
     iterations, burn_in, thin = spec.chain_dims()
-    out = np.empty((len(spec.priors), len(names), 3))
+    out = np.empty((len(spec.priors), len(spec.truth), 3))
     chain_seed = _chain_seed(spec.seed, replicate)
     # every prior is checked against the model before the first chain runs
     inputs = [md.chain_inputs(spec.model, prior, dataset) for prior in spec.priors]
@@ -261,7 +261,7 @@ def _run_replicate(spec: ScenarioSpec, replicate: int):
         except ChainInitError:
             return None
         summ = summarize(chain)
-        for j, name in enumerate(names):
+        for j, name in enumerate(spec.truth):
             s = summ[name]
             out[prior_index, j] = (s["mean"], s["ci95"][0], s["ci95"][1])
     return out
@@ -296,8 +296,6 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
             f"{failed}/{spec.replicates} replicates failed chain initialization"
         )
     stacked = np.stack(ok)  # (reps_ok, n_priors, n_params, 3)
-    names = _param_names(spec)
-    truth = [float(spec.truth[k]) for k in names]
     labels = _prior_labels(spec.priors)
     table = MetricsTable(
         scenario=f"{spec.model}-n{spec.n}-seed{spec.seed}",
@@ -305,7 +303,7 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
         replicates_failed=failed,
     )
     for i, label in enumerate(labels):
-        for j, name in enumerate(names):
+        for j, (name, truth) in enumerate(spec.truth.items()):
             means = stacked[:, i, j, 0]
             lows = stacked[:, i, j, 1]
             highs = stacked[:, i, j, 2]
@@ -313,8 +311,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 0) -> MetricsTable:
                 MetricsRow(
                     prior=label,
                     parameter=name,
-                    rel_rmse=relative_rmse(means, truth[j]),
-                    coverage=coverage(zip(lows, highs), truth[j]),
+                    rel_rmse=relative_rmse(means, truth),
+                    coverage=coverage(zip(lows, highs), truth),
                     mean_width=float(np.mean(highs - lows)),
                 )
             )

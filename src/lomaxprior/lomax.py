@@ -87,23 +87,15 @@ class LomaxSpec:
             object.__setattr__(self, key, value)
 
 
-def _rising_factorial(k: float, d: int) -> float:
-    """k (k+1) ... (k+d-1)."""
-    out = 1.0
-    for j in range(d):
-        out *= k + j
-    return out
-
-
 def normalizing_constant(spec: LomaxSpec) -> float:
     """a^k * k(k+1)...(k+d-1), divided by 2 per folded coordinate."""
-    c = spec.scale ** spec.shape * _rising_factorial(spec.shape, spec.dim)
+    c = spec.scale ** spec.shape * math.prod(spec.shape + j for j in range(spec.dim))
     return c / 2 ** len(spec.folded)
 
 
 def log_normalizing_constant(spec: LomaxSpec) -> float:
     """log(a) k + log(k(k+1)...(k+d-1) / 2^|folded|): without a^k, only the shape can leave the float range."""
-    ratio = _rising_factorial(spec.shape, spec.dim) / 2 ** len(spec.folded)
+    ratio = math.prod(spec.shape + j for j in range(spec.dim)) / 2 ** len(spec.folded)
     if not 0 < ratio < math.inf:
         raise PriorRangeError(
             f"lomax prior shape {spec.shape!r} puts k(k+1)...(k+d-1) / 2^|folded| of {spec.dim} coordinates"
@@ -112,26 +104,19 @@ def log_normalizing_constant(spec: LomaxSpec) -> float:
     return math.log(spec.scale) * spec.shape + math.log(ratio)
 
 
-def _abs_sum(spec: LomaxSpec, x: np.ndarray) -> float:
-    """Sum of coordinates with |.| applied to folded ones; validates support."""
-    total = 0.0
-    for i in range(spec.dim):
-        xi = x[i]
-        if (i + 1) in spec.folded:
-            total += abs(xi)
-        elif xi <= 0:
-            raise ValueError(f"coordinate {i + 1} is on (0, inf) but got {xi}")
-        else:
-            total += xi
-    return total
-
-
 def log_density(spec: LomaxSpec, x) -> float:
-    """Log density at x (length-d vector)."""
+    """Log density at x (length-d vector); |x_i| on folded coordinates, x_i > 0 on the others."""
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise ValueError(f"x must have shape ({spec.dim},), got {x.shape}")
-    s = _abs_sum(spec, x)
+    s = 0.0
+    for i, xi in enumerate(x, 1):
+        if i in spec.folded:
+            s += abs(xi)
+        elif xi <= 0:
+            raise ValueError(f"coordinate {i} is on (0, inf) but got {xi}")
+        else:
+            s += xi
     return log_normalizing_constant(spec) - (spec.shape + spec.dim) * math.log(spec.scale + s)
 
 
@@ -152,7 +137,10 @@ def real_key(key: str, value) -> float:
     """``value`` as a float; a ValueError naming ``key`` unless it is a real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction past 2**1024; its digits are not printed
+        raise ValueError(f"{key!r} must be a number within the float range, got one too large for a float") from None
 
 
 def marginal(spec: LomaxSpec, subset) -> LomaxSpec:

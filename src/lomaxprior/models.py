@@ -28,8 +28,6 @@ __all__ = [
     "DagumParams",
     "LinRegParams",
     "PriorSpec",
-    "integer_key",
-    "real_key",
     "weibull_logpdf",
     "weibull_loglik",
     "weibull_quantile_sample",
@@ -708,7 +706,10 @@ def chain_inputs(model: str, prior: PriorSpec, data):
     target = linreg_target(X, y, prior)
     ls = least_squares_init(X, y)
     full = np.column_stack([np.ones(X.shape[0]), X])
-    se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
+    try:
+        se = np.sqrt(ls.variance * np.diag(np.linalg.inv(full.T @ full)))
+    except np.linalg.LinAlgError:  # the message the g prior gives for the same design
+        raise ValueError("design matrix must have full column rank") from None
     return target, ls.as_vector(), np.append(2.4 * np.maximum(se, 1e-6), 0.35)
 
 

@@ -341,6 +341,20 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
             {"model": "linreg", "truth": {"beta0": -1.0, "beta1": -2.0, "sigma2": -0.5}, "priors": [{"kind": "lomax"}]},
             "truth 'sigma2' must be > 0 in the linreg model, got -0.5",
         ),
+        (
+            {"truth": {"scale": 10**400, "shape": 1.0}},
+            "error: truth 'scale' must be a number within the float range, got one too large for a float",
+        ),
+        (
+            {"priors": [{"kind": "lomax", "shape": 10**400}]},
+            "error: bad 'lomax' prior: 'shape' must be a number within the float range, got one too large for a float",
+        ),
+        # the covariate block of X'X underflows to zero: refused as the g prior refuses a rank-deficient design
+        (
+            {"model": "linreg", "truth": {"beta0": 1.0, "beta1": 2.0, "sigma2": 1.0}, "covariate_sd": 1e-200,
+             "priors": [{"kind": "lomax"}]},
+            "error: design matrix must have full column rank",
+        ),
     ],
     ids=[
         "n-null", "truth-list", "truth-value-null", "priors-number", "prior-string", "gamma-shapes-strings",
@@ -349,6 +363,7 @@ def test_simulate_missing_scenario_key(tmp_path, capsys):
         "shape-string", "folded-weibull", "truth-extra-key", "truth-missing-key", "truth-regression-gap",
         "truth-zero", "truth-infinite", "truth-nan", "covariate-sd-zero", "covariate-sd-negative", "covariate-sd-nan",
         "covariate-sd-infinite", "truth-weibull-negative", "truth-dagum-negative", "truth-regression-negative-variance",
+        "truth-beyond-floats", "prior-shape-beyond-floats", "covariate-sd-tiny",
     ],
 )
 def test_simulate_wrong_typed_scenario_key(tmp_path, capsys, monkeypatch, change, match):
@@ -588,6 +603,44 @@ def test_out_of_range_prior_names_its_inputs_and_writes_nothing(tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
     assert "--prior-a" not in err
+    assert not out.exists()
+
+
+RANK_DEFICIENT_CSV = "x1,x2,y\n" + "".join(f"{i},{2 * i},{1 + i + (-1) ** i}\n" for i in range(10))  # x2 = 2 x1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prior", "--dim", "3", "--grid", "5"], "density grids are emitted for dim <= 2 only"),
+        (
+            ["fit", "--model", "linreg", "--data", "builtin:breakdown34kv"],
+            "regression fits need a CSV with a response column",
+        ),
+        (
+            ["fit", "--model", "linreg", "--prior", "reference", "--data", "DATA"],
+            "prior 'weibull-reference' is not defined for the regression model",
+        ),
+        # one rank rule for every regression prior
+        *(
+            (["fit", "--model", "linreg", "--prior", prior, "--data", "RANK"], "design matrix must have full column rank")
+            for prior in ("lomax", "vague-normal", "zellner")
+        ),
+    ],
+    ids=[
+        "prior-grid-dim-3", "fit-linreg-builtin-data", "fit-linreg-reference-prior", "fit-linreg-rank-deficient-lomax",
+        "fit-linreg-rank-deficient-vague-normal", "fit-linreg-rank-deficient-zellner",
+    ],
+)
+def test_refused_command_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    places = {"DATA": tmp_path / "xy.csv", "RANK": tmp_path / "rank.csv"}
+    places["DATA"].write_text(XY_CSV)
+    places["RANK"].write_text(RANK_DEFICIENT_CSV)
+    monkeypatch.setattr(cli.lx, "density", _no_allocation)
+    monkeypatch.setattr(mcmc, "run_chain", _no_allocation)
+    out = tmp_path / "out"
+    assert run_cli(*(str(places.get(a, a)) for a in argv), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

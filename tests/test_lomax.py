@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         lm.LomaxSpec(2, folded=frozenset({3}))
     # numbers are read by the key rules that marginal and conditional use
+    beyond = "must be a number within the float range, got one too large for a float"
     for kwargs, message in [
         ({"dim": 3, "folded": {1.5}}, "'folded' must be a number (an integer), got 1.5"),
         ({"dim": 3, "folded": {True}}, "'folded' must be a number (an integer), got True"),
@@ -88,6 +90,10 @@ def test_spec_validation():
         ({"dim": 2, "shape": True}, "'shape' must be a number, got True"),
         ({"dim": 2, "shape": "1"}, "'shape' must be a number, got '1'"),
         ({"dim": 2, "scale": "1"}, "'scale' must be a number, got '1'"),
+        # an int or Fraction past the float range is named without its hundreds of digits
+        ({"dim": 2, "shape": 10**400}, f"'shape' {beyond}"),
+        ({"dim": 2, "scale": -(10**400)}, f"'scale' {beyond}"),
+        ({"dim": 2, "scale": Fraction(10**400, 3)}, f"'scale' {beyond}"),
     ]:
         with pytest.raises(ValueError) as info:
             lm.LomaxSpec(**kwargs)
@@ -354,6 +360,8 @@ def test_entropy_against_quadrature(k):
 def test_entropy_values():
     assert lm.entropy(2.0) == pytest.approx(math.log(2) + 1.5, rel=1e-14)
     assert lm.entropy(0.5) == pytest.approx(3 - math.log(2), rel=1e-14)
+    with pytest.raises(ValueError, match="k must be > 0"):
+        lm.entropy(0)
 
 
 def test_moments():
@@ -388,6 +396,10 @@ def test_mixture_values():
     assert lm.laplace_mixture_density(1, [0.0]) == pytest.approx(0.5, rel=1e-9)
     assert lm.laplace_mixture_density(2, [1.0, -1.0]) == pytest.approx(1 / 54, rel=1e-9)
     assert lm.laplace_mixture_density(3, [0.0, 0.0, 0.0]) == pytest.approx(0.75, rel=1e-9)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        lm.laplace_mixture_density(0, [])
+    with pytest.raises(ValueError, match="x must have length 2"):
+        lm.laplace_mixture_density(2, [1.0])
 
 
 def test_mixture_matches_folded_density():

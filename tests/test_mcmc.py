@@ -57,6 +57,13 @@ def test_config_validation():
         mcmc.ChainConfig(iterations=100, burn_in=10, thin=1, initial=np.zeros(2), steps=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         mcmc.PosteriorTarget(lambda x: 0.0, ("real", "weird"), ("a", "b"))
+    with pytest.raises(ValueError, match="support and names must have equal length"):
+        mcmc.PosteriorTarget(lambda x: 0.0, ("real",), ("a", "b"))
+    with pytest.raises(ValueError, match="initial point and steps must have matching shape"):
+        mcmc.ChainConfig(iterations=1000, burn_in=0, thin=1, initial=np.zeros(2), steps=np.ones(3))
+    config = mcmc.ChainConfig(iterations=1000, burn_in=0, thin=1, **ok)
+    with pytest.raises(ValueError, match=r"initial point must have shape \(1,\)"):
+        mcmc.run_chain(gaussian_target(1), config)
 
 
 def test_init_errors():

@@ -169,6 +169,8 @@ def test_dagum_quantile_round_trip():
     xs = md.dagum_quantile_sample(params, us)
     np.testing.assert_allclose(md.dagum_cdf(params, xs), us, atol=1e-12)
     assert md.dagum_quantile_sample(md.DagumParams(1.0, 1.0, 1.0), 0.5) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=r"u must lie in \(0, 1\)"):
+        md.dagum_quantile_sample(params, 0)
 
 
 def test_dagum_sample_mean_matches_quadrature():
@@ -209,6 +211,8 @@ def test_linreg_loglik_brute_force():
     assert md.linreg_loglik(params, X, y) == pytest.approx(direct, rel=1e-12)
     with pytest.raises(ValueError):
         md.linreg_loglik(params, X, y[:-1])
+    with pytest.raises(ValueError, match="X and coefficients have mismatched widths"):
+        md.linreg_loglik(params, X[:, :1], y)
 
 
 def test_least_squares_init_recovers():
@@ -401,6 +405,7 @@ def test_prior_from_dict_defaults():
         ({"kind": "zellner-g", "g": -math.inf}, "g must be > 0 and finite, got -inf"),
         ({"kind": "vague-gamma-product", "shapes": [math.nan, 1, 1]}, "gamma shapes must be > 0 and finite"),
         ({"kind": "vague-gamma-product", "rates": [1, 1, math.inf]}, "gamma rates must be > 0 and finite"),
+        ({"kind": "vague-gamma-product", "shapes": [1, 1], "rates": [1, 1, 1]}, "needs matching shape/rate tuples"),
     ],
     # the ids pytest once generated, written out: a case can go without renaming the others
     ids=[
@@ -433,6 +438,7 @@ def test_prior_from_dict_defaults():
         "zellner-g-minus-inf",
         "vague-gamma-shapes-nan",
         "vague-gamma-rates-inf",
+        "vague-gamma-lengths-differ",
     ],
 )
 def test_prior_from_dict_rejects(d, match):

@@ -33,6 +33,8 @@ def test_problem_validation():
             rule(np.ones(3), -0.5)
     with pytest.raises(ValueError):
         pn.PenaltyExperimentConfig(1.0, -0.5)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        pn.PenaltyExperimentConfig(1.0, 0.5, n=1)
 
 
 def test_threshold_equivalence():
@@ -247,6 +249,8 @@ def test_cd_default_lambda_and_validation():
     np.testing.assert_allclose(got_default, got_explicit, atol=1e-12)
     with pytest.raises(ValueError):
         pn.coordinate_descent_logpenalty(2.0 * X, y)
+    with pytest.raises(ValueError, match="lambda must be > 0"):
+        pn.coordinate_descent_logpenalty(X, y, lam=-1)
 
 
 def test_cd_nonconvergence_reports_history():

@@ -34,6 +34,8 @@ def test_alpha_values():
     assert sc.alpha(sc.AlphaSpec(1, 1), [2.0]) == 0.25
     with pytest.raises(ValueError):
         sc.alpha(a12, [0.0, 1.0])
+    with pytest.raises(ValueError, match="u must have length 2"):
+        sc.alpha(a12, [1.0])
 
 
 def test_alpha_hessian_det_values():
